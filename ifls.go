@@ -61,8 +61,9 @@
 //
 // A cancelled context stops the solver at its next checkpoint and the error
 // also satisfies errors.Is(err, context.Canceled) (or DeadlineExceeded).
-// The plain, non-context methods never panic either: internal panics are
-// recovered at the API boundary and degrade to the zero "not found" result.
+// Each plain method is its Context variant with a background context and
+// the error dropped, so it never panics either: an invalid query or a
+// contained internal panic degrades to the "not found" result.
 package ifls
 
 import (
@@ -190,9 +191,9 @@ type Index struct {
 	venue   *indoor.Venue
 	tree    *vip.Tree
 	locator *locate.Locator
-	// metrics, when set via WithMetrics, makes every Context solver method
-	// record per-query spans and aggregates. Nil (the default) keeps the
-	// solvers on their unobserved paths.
+	// metrics, when set via WithMetrics, makes every solve method record
+	// per-query spans and aggregates. Nil (the default) keeps the solvers
+	// on their unobserved paths.
 	metrics *obs.Metrics
 }
 
@@ -315,16 +316,18 @@ func guard(fn func()) (err error) {
 	return nil
 }
 
-// notFound is the degraded result a plain (error-less) solver method returns
-// when a panic was contained: indistinguishable from "no improving
-// candidate", which is the safest answer the signature can express.
-func notFound() Result {
-	return Result{Found: false, Answer: NoPartition, Objective: math.NaN()}
+// degraded holds every objective's "not found" value, defined once: a
+// failed solve returns it alongside its error, and the plain methods return
+// it alone for an invalid query or a contained failure. Each method reads
+// its objective's field.
+var degraded = core.ExecResult{
+	MinMax: Result{Answer: NoPartition, Objective: math.NaN()},
+	Ext:    ExtResult{Answer: NoPartition, Objective: math.NaN()},
+	Multi:  MultiResult{Objective: math.NaN()},
 }
 
-// validated runs Query.Validate against the indexed venue, so every Context
-// solver rejects malformed input with ErrInvalidQuery before touching the
-// tree.
+// validated runs Query.Validate against the indexed venue, so every solver
+// rejects malformed input with ErrInvalidQuery before touching the tree.
 func (ix *Index) validated(q *Query) error {
 	if q == nil {
 		return fmt.Errorf("%w: nil query", ErrInvalidQuery)
@@ -332,14 +335,51 @@ func (ix *Index) validated(q *Query) error {
 	return q.Validate(ix.venue)
 }
 
-// Solve answers a MinMax IFLS query with the paper's efficient approach.
-// Solve never panics: a contained internal failure degrades to the
-// "not found" result. Use SolveContext to observe failures as errors.
-func (ix *Index) Solve(q *Query) Result {
-	var r Result
-	if err := guard(func() { r = core.Solve(ix.tree, q) }); err != nil {
-		return notFound()
+// exec is the single path from every exported Index and Session solve
+// method into the engine. In order, it validates q, contains panics with
+// guard, runs core.Exec (or s.Exec when a session is given), and records
+// the query to the WithMetrics aggregate when one is attached. On any error
+// the payload is degraded.
+func (ix *Index) exec(ctx context.Context, s *core.Session, q *Query, o core.Options) (core.ExecResult, error) {
+	m := ix.metrics
+	var start time.Time
+	var tr *obs.Trace
+	if m != nil {
+		start = time.Now()
 	}
+	var r core.ExecResult
+	err := ix.validated(q)
+	if err == nil {
+		if m != nil {
+			m.Event(obs.Span{Stage: obs.StageValidate, Elapsed: time.Since(start)})
+			tr = new(obs.Trace)
+			o.Recorder = tr
+		}
+		if gerr := guard(func() {
+			if s != nil {
+				r, err = s.Exec(ctx, q, o)
+			} else {
+				r, err = core.Exec(ctx, ix.tree, q, o)
+			}
+		}); gerr != nil {
+			err = gerr
+		}
+	}
+	if m != nil {
+		observe(m, tr, q, start, o.Objective, r, err)
+	}
+	if err != nil {
+		return degraded, err
+	}
+	return r, nil
+}
+
+// Solve answers a MinMax IFLS query with the paper's efficient approach. It
+// is SolveContext with a background context and the error dropped, so it
+// never panics: an invalid query or a contained internal failure degrades
+// to the "not found" result.
+func (ix *Index) Solve(q *Query) Result {
+	r, _ := ix.SolveContext(context.Background(), q)
 	return r
 }
 
@@ -347,95 +387,54 @@ func (ix *Index) Solve(q *Query) Result {
 // It rejects malformed queries with ErrInvalidQuery, stops at the next
 // solver checkpoint when ctx is cancelled (ErrCancelled), and converts any
 // internal panic into ErrSolverPanic instead of crashing the caller.
-func (ix *Index) SolveContext(ctx context.Context, q *Query) (r Result, err error) {
-	if ix.metrics != nil {
-		return ix.solveContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return notFound(), err
-	}
-	if gerr := guard(func() { r, err = core.SolveContext(ctx, ix.tree, q) }); gerr != nil {
-		return notFound(), gerr
-	}
-	return r, err
+func (ix *Index) SolveContext(ctx context.Context, q *Query) (Result, error) {
+	r, err := ix.exec(ctx, nil, q, core.Options{Objective: core.ObjMinMax})
+	return r.MinMax, err
 }
 
 // SolveBaseline answers the query with the modified MinMax baseline
 // (Algorithm 1), provided for comparison and benchmarking. Never panics;
 // see Solve.
 func (ix *Index) SolveBaseline(q *Query) Result {
-	var r Result
-	if err := guard(func() { r = core.SolveBaseline(ix.tree, q) }); err != nil {
-		return notFound()
-	}
+	r, _ := ix.SolveBaselineContext(context.Background(), q)
 	return r
 }
 
 // SolveBaselineContext is SolveBaseline with input validation and
 // cooperative cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveBaselineContext(ctx context.Context, q *Query) (r Result, err error) {
-	if ix.metrics != nil {
-		return ix.solveBaselineContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return notFound(), err
-	}
-	if gerr := guard(func() { r, err = core.SolveBaselineContext(ctx, ix.tree, q) }); gerr != nil {
-		return notFound(), gerr
-	}
-	return r, err
+func (ix *Index) SolveBaselineContext(ctx context.Context, q *Query) (Result, error) {
+	r, err := ix.exec(ctx, nil, q, core.Options{Objective: core.ObjBaseline})
+	return r.MinMax, err
 }
 
 // SolveMinDist answers the MinDist variant: the candidate minimizing the
-// total client-to-nearest-facility distance. Never panics; a contained
-// failure degrades to the no-answer ExtResult.
+// total client-to-nearest-facility distance. Never panics; an invalid query
+// or a contained failure degrades to the no-answer ExtResult.
 func (ix *Index) SolveMinDist(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = core.SolveMinDist(ix.tree, q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
+	r, _ := ix.SolveMinDistContext(context.Background(), q)
 	return r
 }
 
 // SolveMinDistContext is SolveMinDist with input validation and cooperative
 // cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveMinDistContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if ix.metrics != nil {
-		return ix.solveMinDistContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, err
-	}
-	if gerr := guard(func() { r, err = core.SolveMinDistContext(ctx, ix.tree, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
+func (ix *Index) SolveMinDistContext(ctx context.Context, q *Query) (ExtResult, error) {
+	r, err := ix.exec(ctx, nil, q, core.Options{Objective: core.ObjMinDist})
+	return r.Ext, err
 }
 
 // SolveMaxSum answers the MaxSum variant: the candidate that captures the
-// most clients. Never panics; a contained failure degrades to the no-answer
-// ExtResult.
+// most clients. Never panics; an invalid query or a contained failure
+// degrades to the no-answer ExtResult.
 func (ix *Index) SolveMaxSum(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = core.SolveMaxSum(ix.tree, q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
+	r, _ := ix.SolveMaxSumContext(context.Background(), q)
 	return r
 }
 
 // SolveMaxSumContext is SolveMaxSum with input validation and cooperative
 // cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveMaxSumContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if ix.metrics != nil {
-		return ix.solveMaxSumContextObserved(ctx, q)
-	}
-	if err := ix.validated(q); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, err
-	}
-	if gerr := guard(func() { r, err = core.SolveMaxSumContext(ctx, ix.tree, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
+func (ix *Index) SolveMaxSumContext(ctx context.Context, q *Query) (ExtResult, error) {
+	r, err := ix.exec(ctx, nil, q, core.Options{Objective: core.ObjMaxSum})
+	return r.Ext, err
 }
 
 // RankedCandidate is one entry of a SolveTopK answer.
@@ -443,29 +442,18 @@ type RankedCandidate = core.RankedCandidate
 
 // SolveTopK returns up to k candidates with the smallest MinMax objectives
 // in ascending order, each with its exact objective. Candidates that do not
-// improve on the status quo are omitted. Never panics; a contained failure
-// degrades to an empty ranking.
+// improve on the status quo are omitted. Never panics; an invalid query or
+// a contained failure degrades to an empty ranking.
 func (ix *Index) SolveTopK(q *Query, k int) []RankedCandidate {
-	var r []RankedCandidate
-	if err := guard(func() { r = core.SolveTopK(ix.tree, q, k) }); err != nil {
-		return nil
-	}
+	r, _ := ix.SolveTopKContext(context.Background(), q, k)
 	return r
 }
 
 // SolveTopKContext is SolveTopK with input validation and cooperative
 // cancellation; see SolveContext for the error contract.
-func (ix *Index) SolveTopKContext(ctx context.Context, q *Query, k int) (r []RankedCandidate, err error) {
-	if ix.metrics != nil {
-		return ix.solveTopKContextObserved(ctx, q, k)
-	}
-	if err := ix.validated(q); err != nil {
-		return nil, err
-	}
-	if gerr := guard(func() { r, err = core.SolveTopKContext(ctx, ix.tree, q, k) }); gerr != nil {
-		return nil, gerr
-	}
-	return r, err
+func (ix *Index) SolveTopKContext(ctx context.Context, q *Query, k int) ([]RankedCandidate, error) {
+	r, err := ix.exec(ctx, nil, q, core.Options{Objective: core.ObjTopK, K: k})
+	return r.TopK, err
 }
 
 // MultiResult is the outcome of SolveMulti.
@@ -474,27 +462,19 @@ type MultiResult = core.MultiResult
 // SolveMulti greedily selects k candidate locations for k new facilities:
 // each round solves a single-facility IFLS query and folds the winner into
 // the existing set. Joint k-facility MinMax selection is NP-hard; the
-// greedy chain is the standard practical approach. Never panics; a
-// contained failure degrades to an empty selection.
+// greedy chain is the standard practical approach. Never panics; an invalid
+// query or a contained failure degrades to an empty selection.
 func (ix *Index) SolveMulti(q *Query, k int) MultiResult {
-	var r MultiResult
-	if err := guard(func() { r = core.SolveGreedyMulti(ix.tree, q, k) }); err != nil {
-		return MultiResult{Objective: math.NaN()}
-	}
+	r, _ := ix.SolveMultiContext(context.Background(), q, k)
 	return r
 }
 
 // SolveMultiContext is SolveMulti with input validation and cooperative
 // cancellation; the context threads into every greedy round. See
 // SolveContext for the error contract.
-func (ix *Index) SolveMultiContext(ctx context.Context, q *Query, k int) (r MultiResult, err error) {
-	if err := ix.validated(q); err != nil {
-		return MultiResult{Objective: math.NaN()}, err
-	}
-	if gerr := guard(func() { r, err = core.SolveGreedyMultiContext(ctx, ix.tree, q, k) }); gerr != nil {
-		return MultiResult{Objective: math.NaN()}, gerr
-	}
-	return r, err
+func (ix *Index) SolveMultiContext(ctx context.Context, q *Query, k int) (MultiResult, error) {
+	r, err := ix.exec(ctx, nil, q, core.Options{Objective: core.ObjMulti, K: k})
+	return r.Multi, err
 }
 
 // Locate returns the partition containing a point, or NoPartition.
@@ -570,99 +550,86 @@ func (ix *Index) Route(p, q Point) ([]Point, float64, error) {
 // Session amortizes repeated queries on one index — the dynamic-crowd
 // scenario where the optimal location is recomputed as clients move. The
 // venue-dependent distance vectors computed by each query are retained and
-// reused by later ones. Not safe for concurrent use.
-type Session struct{ s *core.Session }
+// reused by later ones. Each method validates, contains failures, and
+// records to the index's metrics exactly like its Index counterpart. Not
+// safe for concurrent use.
+type Session struct {
+	ix *Index
+	s  *core.Session
+}
 
 // NewSession creates a query session over the index.
-func (ix *Index) NewSession() *Session { return &Session{s: core.NewSession(ix.tree)} }
+func (ix *Index) NewSession() *Session { return &Session{ix: ix, s: core.NewSession(ix.tree)} }
 
-// Solve answers a MinMax IFLS query, reusing the session's caches. Never
-// panics; a contained failure degrades to the "not found" result.
+// Solve answers a MinMax IFLS query, reusing the session's caches. It is
+// SolveContext with a background context and the error dropped; see
+// Index.Solve.
 func (s *Session) Solve(q *Query) Result {
-	var r Result
-	if err := guard(func() { r = s.s.Solve(q) }); err != nil {
-		return notFound()
-	}
+	r, _ := s.SolveContext(context.Background(), q)
 	return r
 }
 
-// SolveContext is Solve with cooperative cancellation. The session's cache
-// stays consistent on cancellation: distance vectors computed before the
-// cancel remain valid and are reused by later queries.
-func (s *Session) SolveContext(ctx context.Context, q *Query) (r Result, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveContext(ctx, q) }); gerr != nil {
-		return notFound(), gerr
-	}
-	return r, err
+// SolveContext is Solve with input validation and cooperative cancellation;
+// see Index.SolveContext for the error contract. The session's cache stays
+// consistent on cancellation: distance vectors computed before the cancel
+// remain valid and are reused by later queries.
+func (s *Session) SolveContext(ctx context.Context, q *Query) (Result, error) {
+	r, err := s.ix.exec(ctx, s.s, q, core.Options{Objective: core.ObjMinMax})
+	return r.MinMax, err
 }
 
 // SolveTopK ranks up to k candidates, reusing the session's caches. Never
-// panics; a contained failure degrades to an empty ranking.
+// panics; an invalid query or a contained failure degrades to an empty
+// ranking.
 func (s *Session) SolveTopK(q *Query, k int) []RankedCandidate {
-	var r []RankedCandidate
-	if err := guard(func() { r = s.s.SolveTopK(q, k) }); err != nil {
-		return nil
-	}
-	return r
+	r, _ := s.ix.exec(context.Background(), s.s, q, core.Options{Objective: core.ObjTopK, K: k})
+	return r.TopK
 }
 
 // SolveMinDist answers the MinDist variant, reusing the session's caches.
-// Never panics; a contained failure degrades to the no-answer ExtResult.
+// Never panics; an invalid query or a contained failure degrades to the
+// no-answer ExtResult.
 func (s *Session) SolveMinDist(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = s.s.SolveMinDist(q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
+	r, _ := s.SolveMinDistContext(context.Background(), q)
 	return r
 }
 
-// SolveMinDistContext is SolveMinDist with cooperative cancellation; see
-// SolveContext for the cache-consistency contract.
-func (s *Session) SolveMinDistContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveMinDistContext(ctx, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
+// SolveMinDistContext is SolveMinDist with input validation and cooperative
+// cancellation; see SolveContext for the cache-consistency contract.
+func (s *Session) SolveMinDistContext(ctx context.Context, q *Query) (ExtResult, error) {
+	r, err := s.ix.exec(ctx, s.s, q, core.Options{Objective: core.ObjMinDist})
+	return r.Ext, err
 }
 
 // SolveMaxSum answers the MaxSum variant, reusing the session's caches.
-// Never panics; a contained failure degrades to the no-answer ExtResult.
+// Never panics; an invalid query or a contained failure degrades to the
+// no-answer ExtResult.
 func (s *Session) SolveMaxSum(q *Query) ExtResult {
-	var r ExtResult
-	if err := guard(func() { r = s.s.SolveMaxSum(q) }); err != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}
-	}
+	r, _ := s.SolveMaxSumContext(context.Background(), q)
 	return r
 }
 
-// SolveMaxSumContext is SolveMaxSum with cooperative cancellation; see
-// SolveContext for the cache-consistency contract.
-func (s *Session) SolveMaxSumContext(ctx context.Context, q *Query) (r ExtResult, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveMaxSumContext(ctx, q) }); gerr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	return r, err
+// SolveMaxSumContext is SolveMaxSum with input validation and cooperative
+// cancellation; see SolveContext for the cache-consistency contract.
+func (s *Session) SolveMaxSumContext(ctx context.Context, q *Query) (ExtResult, error) {
+	r, err := s.ix.exec(ctx, s.s, q, core.Options{Objective: core.ObjMaxSum})
+	return r.Ext, err
 }
 
 // SolveMulti greedily selects k candidates, reusing the session's caches
-// across the greedy rounds. Never panics; a contained failure degrades to
-// an empty selection.
+// across the greedy rounds. Never panics; an invalid query or a contained
+// failure degrades to an empty selection.
 func (s *Session) SolveMulti(q *Query, k int) MultiResult {
-	var r MultiResult
-	if err := guard(func() { r = s.s.SolveMulti(q, k) }); err != nil {
-		return MultiResult{Objective: math.NaN()}
-	}
+	r, _ := s.SolveMultiContext(context.Background(), q, k)
 	return r
 }
 
-// SolveMultiContext is SolveMulti with cooperative cancellation threaded
-// into every greedy round; see SolveContext for the cache-consistency
-// contract.
-func (s *Session) SolveMultiContext(ctx context.Context, q *Query, k int) (r MultiResult, err error) {
-	if gerr := guard(func() { r, err = s.s.SolveMultiContext(ctx, q, k) }); gerr != nil {
-		return MultiResult{Objective: math.NaN()}, gerr
-	}
-	return r, err
+// SolveMultiContext is SolveMulti with input validation and cooperative
+// cancellation threaded into every greedy round; see SolveContext for the
+// cache-consistency contract.
+func (s *Session) SolveMultiContext(ctx context.Context, q *Query, k int) (MultiResult, error) {
+	r, err := s.ix.exec(ctx, s.s, q, core.Options{Objective: core.ObjMulti, K: k})
+	return r.Multi, err
 }
 
 // Neighbor is one entry of a KNearestFacilities or FacilitiesWithin answer.
@@ -728,7 +695,7 @@ func (ix *Index) NewTimetable() *Timetable { return temporal.NewTimetable(ix.ven
 func (ix *Index) SolveAt(tt *Timetable, q *Query, at time.Duration) Result {
 	var r Result
 	if err := guard(func() { r = temporal.SolveAt(ix.tree.Graph(), tt, q, at).Result }); err != nil {
-		return notFound()
+		return degraded.MinMax
 	}
 	return r
 }

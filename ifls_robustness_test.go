@@ -106,8 +106,8 @@ func TestContextWrappersMatchPlain(t *testing.T) {
 
 // TestInvalidQueriesReturnTypedErrors drives the validation taxonomy
 // through the public API: each class of malformed query must surface
-// ErrInvalidQuery from Context methods and a degraded result (never a
-// panic) from the plain methods.
+// ErrInvalidQuery from every Index and Session Context method and the
+// degraded not-found result (never a panic) from the plain methods.
 func TestInvalidQueriesReturnTypedErrors(t *testing.T) {
 	v, ix, good := robustnessFixture(t)
 	np := ifls.PartitionID(len(v.Partitions))
@@ -125,11 +125,24 @@ func TestInvalidQueriesReturnTypedErrors(t *testing.T) {
 			if _, err := ix.SolveContext(context.Background(), q); !errors.Is(err, ifls.ErrInvalidQuery) {
 				t.Errorf("SolveContext: got %v, want ErrInvalidQuery", err)
 			}
-			// Plain method: must not panic. It keeps the seed solver's
-			// behavior verbatim, so a non-panicking invalid input may
-			// still compute a (meaningless) answer; the typed-error
-			// contract is the Context variants' job.
-			ix.Solve(q)
+			ctx := context.Background()
+			s := ix.NewSession()
+			for method, call := range map[string]func() error{
+				"SolveMultiContext":           func() error { _, err := ix.SolveMultiContext(ctx, q, 2); return err },
+				"Session.SolveContext":        func() error { _, err := s.SolveContext(ctx, q); return err },
+				"Session.SolveMinDistContext": func() error { _, err := s.SolveMinDistContext(ctx, q); return err },
+				"Session.SolveMaxSumContext":  func() error { _, err := s.SolveMaxSumContext(ctx, q); return err },
+				"Session.SolveMultiContext":   func() error { _, err := s.SolveMultiContext(ctx, q, 2); return err },
+			} {
+				if err := call(); !errors.Is(err, ifls.ErrInvalidQuery) {
+					t.Errorf("%s: got %v, want ErrInvalidQuery", method, err)
+				}
+			}
+			// Plain method: SolveContext with the error dropped, so an
+			// invalid query degrades to the not-found result.
+			if r := ix.Solve(q); r.Found || r.Answer != ifls.NoPartition {
+				t.Errorf("Solve: got %+v, want the not-found result", r)
+			}
 		})
 	}
 }

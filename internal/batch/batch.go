@@ -21,18 +21,18 @@ import (
 type Objective string
 
 const (
-	// MinMax runs core.Solve, the paper's efficient approach
+	// MinMax runs core.ObjMinMax, the paper's efficient approach
 	// (Algorithms 2 and 3). It is the zero value's behavior: a Query
 	// with an empty Objective runs MinMax.
 	MinMax Objective = "minmax"
-	// Baseline runs core.SolveBaseline, the modified MinMax algorithm
+	// Baseline runs core.ObjBaseline, the modified MinMax algorithm
 	// (Algorithm 1).
 	Baseline Objective = "baseline"
-	// MinDist runs core.SolveMinDist (Section 7 extension).
+	// MinDist runs core.ObjMinDist (Section 7 extension).
 	MinDist Objective = "mindist"
-	// MaxSum runs core.SolveMaxSum (Section 7 extension).
+	// MaxSum runs core.ObjMaxSum (Section 7 extension).
 	MaxSum Objective = "maxsum"
-	// TopK runs core.SolveTopK with Query.K.
+	// TopK runs core.ObjTopK with Query.K.
 	TopK Objective = "topk"
 )
 

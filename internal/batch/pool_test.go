@@ -18,22 +18,12 @@ import (
 // solver state — the reference the pooled path must match exactly.
 func freshResult(t *testing.T, tree *vip.Tree, q Query) Result {
 	t.Helper()
-	var r Result
-	switch effectiveObjective(q.Objective) {
-	case MinMax:
-		r.MinMax, r.Err = core.SolveContext(context.Background(), tree, q.Query)
-	case Baseline:
-		r.MinMax, r.Err = core.SolveBaselineContext(context.Background(), tree, q.Query)
-	case MinDist:
-		r.Ext, r.Err = core.SolveMinDistContext(context.Background(), tree, q.Query)
-	case MaxSum:
-		r.Ext, r.Err = core.SolveMaxSumContext(context.Background(), tree, q.Query)
-	case TopK:
-		r.TopK, r.Err = core.SolveTopKContext(context.Background(), tree, q.Query, q.K)
-	default:
+	obj, ok := coreObjective(q.Objective)
+	if !ok {
 		t.Fatalf("unknown objective %q", q.Objective)
 	}
-	return r
+	er, err := core.Exec(context.Background(), tree, q.Query, core.Options{Objective: obj, K: q.K})
+	return Result{MinMax: er.MinMax, Ext: er.Ext, TopK: er.TopK, Err: err}
 }
 
 // TestPooledBatchMatchesFresh: the worker-leased Scratches are invisible in
@@ -85,23 +75,16 @@ func TestHammerSessionAndBatch(t *testing.T) {
 			for i, q := range queries {
 				// The session answers MinMax, MinDist, and MaxSum over the
 				// same query bodies the batch is chewing on concurrently.
-				got := s.Solve(q.Query)
-				want := core.Solve(tree, q.Query)
-				if got.Found != want.Found || got.Answer != want.Answer || !eqObj(got.Objective, want.Objective) {
-					t.Errorf("session round %d query %d: %+v != fresh %+v", round, i, got, want)
-					return
-				}
-				gotExt := s.SolveMinDist(q.Query)
-				wantExt := core.SolveMinDist(tree, q.Query)
-				if gotExt.Answer != wantExt.Answer || !eqObj(gotExt.Objective, wantExt.Objective) {
-					t.Errorf("session round %d query %d mindist: %+v != fresh %+v", round, i, gotExt, wantExt)
-					return
-				}
-				gotExt = s.SolveMaxSum(q.Query)
-				wantExt = core.SolveMaxSum(tree, q.Query)
-				if gotExt.Answer != wantExt.Answer || !eqObj(gotExt.Objective, wantExt.Objective) {
-					t.Errorf("session round %d query %d maxsum: %+v != fresh %+v", round, i, gotExt, wantExt)
-					return
+				for _, obj := range []core.Objective{core.ObjMinMax, core.ObjMinDist, core.ObjMaxSum} {
+					o := core.Options{Objective: obj}
+					got, gerr := s.Exec(context.Background(), q.Query, o)
+					want, werr := core.Exec(context.Background(), tree, q.Query, o)
+					if gerr != nil || werr != nil ||
+						got.MinMax.Found != want.MinMax.Found || got.MinMax.Answer != want.MinMax.Answer || !eqObj(got.MinMax.Objective, want.MinMax.Objective) ||
+						got.Ext.Answer != want.Ext.Answer || !eqObj(got.Ext.Objective, want.Ext.Objective) {
+						t.Errorf("session round %d query %d %v: %+v (%v) != fresh %+v (%v)", round, i, obj, got, gerr, want, werr)
+						return
+					}
 				}
 			}
 		}

@@ -13,8 +13,8 @@ import (
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// cancelSolvers enumerates every context-aware solver entry point through a
-// uniform closure so one table drives the whole cancellation contract.
+// cancelSolvers enumerates every objective (plus the brute oracle) through
+// a uniform closure so one table drives the whole cancellation contract.
 func cancelSolvers(t *testing.T) (map[string]func(ctx context.Context) error, *Query) {
 	t.Helper()
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
@@ -23,27 +23,27 @@ func cancelSolvers(t *testing.T) (map[string]func(ctx context.Context) error, *Q
 	q := randomQuery(v, rand.New(rand.NewSource(11)), 4, 8, 60)
 	return map[string]func(ctx context.Context) error{
 		"efficient": func(ctx context.Context) error {
-			_, err := SolveContext(ctx, tree, q)
+			_, err := Exec(ctx, tree, q, Options{})
 			return err
 		},
 		"baseline": func(ctx context.Context) error {
-			_, err := SolveBaselineContext(ctx, tree, q)
+			_, err := Exec(ctx, tree, q, Options{Objective: ObjBaseline})
 			return err
 		},
 		"mindist": func(ctx context.Context) error {
-			_, err := SolveMinDistContext(ctx, tree, q)
+			_, err := Exec(ctx, tree, q, Options{Objective: ObjMinDist})
 			return err
 		},
 		"maxsum": func(ctx context.Context) error {
-			_, err := SolveMaxSumContext(ctx, tree, q)
+			_, err := Exec(ctx, tree, q, Options{Objective: ObjMaxSum})
 			return err
 		},
 		"topk": func(ctx context.Context) error {
-			_, err := SolveTopKContext(ctx, tree, q, 3)
+			_, err := Exec(ctx, tree, q, Options{Objective: ObjTopK, K: 3})
 			return err
 		},
 		"multi": func(ctx context.Context) error {
-			_, err := SolveGreedyMultiContext(ctx, tree, q, 2)
+			_, err := Exec(ctx, tree, q, Options{Objective: ObjMulti, K: 2})
 			return err
 		},
 		"brute": func(ctx context.Context) error {
@@ -110,53 +110,29 @@ func TestCancelMidSolve(t *testing.T) {
 	}
 }
 
-// TestContextVariantsMatchPlain: with a background (never-cancellable)
-// context, every Context solver must produce exactly the result of its
-// plain wrapper — the wrappers are required to be bit-identical paths.
+// TestContextVariantsMatchPlain: a cancellable context that never fires
+// arms every checkpoint without tripping one, and must produce exactly the
+// result of a background (checkpoint-free) run for every objective.
 func TestContextVariantsMatchPlain(t *testing.T) {
 	v := testvenue.Grid(testvenue.GridParams{Cols: 6, Levels: 2, InterRoomDoors: true})
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	q := randomQuery(v, rand.New(rand.NewSource(23)), 3, 9, 45)
-	ctx := context.Background()
+	armed, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
-	plain := Solve(tree, q)
-	got, err := SolveContext(ctx, tree, q)
-	if err != nil || got != plain {
-		t.Errorf("SolveContext = (%+v, %v), plain Solve = %+v", got, err, plain)
-	}
-
-	pb := SolveBaseline(tree, q)
-	gb, err := SolveBaselineContext(ctx, tree, q)
-	if err != nil || gb != pb {
-		t.Errorf("SolveBaselineContext = (%+v, %v), plain = %+v", gb, err, pb)
-	}
-
-	pd := SolveMinDist(tree, q)
-	gd, err := SolveMinDistContext(ctx, tree, q)
-	if err != nil || gd != pd {
-		t.Errorf("SolveMinDistContext = (%+v, %v), plain = %+v", gd, err, pd)
-	}
-
-	ps := SolveMaxSum(tree, q)
-	gs, err := SolveMaxSumContext(ctx, tree, q)
-	if err != nil || gs != ps {
-		t.Errorf("SolveMaxSumContext = (%+v, %v), plain = %+v", gs, err, ps)
-	}
-
-	pk := SolveTopK(tree, q, 4)
-	gk, err := SolveTopKContext(ctx, tree, q, 4)
-	if err != nil || len(gk) != len(pk) {
-		t.Fatalf("SolveTopKContext = (%v, %v), plain = %v", gk, err, pk)
-	}
-	for i := range pk {
-		if gk[i] != pk[i] {
-			t.Errorf("TopK[%d]: ctx %+v, plain %+v", i, gk[i], pk[i])
+	for obj := Objective(0); obj < numObjectives; obj++ {
+		o := Options{Objective: obj, K: 4}
+		plain := mustExec(tree, q, o)
+		got, err := Exec(armed, tree, q, o)
+		if err != nil || !eqResult(got.MinMax, plain.MinMax) || !eqExtResult(got.Ext, plain.Ext) ||
+			!eqTopK(got.TopK, plain.TopK) || !eqMulti(got.Multi, plain.Multi) {
+			t.Errorf("%v: armed = (%+v, %v), background = %+v", obj, got, err, plain)
 		}
 	}
 }
 
 // TestCancelNilContext: a nil context must behave like background, not
-// panic — the wrappers rely on it.
+// panic.
 func TestCancelNilContext(t *testing.T) {
 	solvers, _ := cancelSolvers(t)
 	for name, solve := range solvers {
@@ -176,20 +152,20 @@ func TestSessionCancellation(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	q := randomQuery(v, rand.New(rand.NewSource(31)), 3, 7, 50)
 	s := NewSession(tree)
-	if _, err := s.SolveContext(context.Background(), q); err != nil {
+	if _, err := s.Exec(context.Background(), q, Options{}); err != nil {
 		t.Fatalf("warm-up solve: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SolveContext(ctx, q); !errors.Is(err, faults.ErrCancelled) {
+	if _, err := s.Exec(ctx, q, Options{}); !errors.Is(err, faults.ErrCancelled) {
 		t.Fatalf("warm session with cancelled context: got %v, want ErrCancelled", err)
 	}
 	// The session must remain usable after a cancelled solve.
-	r, err := s.SolveContext(context.Background(), q)
+	r, err := s.Exec(context.Background(), q, Options{})
 	if err != nil {
 		t.Fatalf("solve after cancellation: %v", err)
 	}
-	if cold := Solve(tree, q); r != cold {
+	if cold := mustExec(tree, q, Options{}); r.MinMax != cold.MinMax {
 		t.Errorf("post-cancel session result %+v differs from cold solve %+v", r, cold)
 	}
 }

@@ -95,9 +95,9 @@ func TestSolversAgreeWithOracleRandomized(t *testing.T) {
 					t.Fatalf("invalid query: %v", err)
 				}
 				want := SolveBrute(g, q)
-				gotEA := Solve(tree, q)
+				gotEA := mustExec(tree, q, Options{}).MinMax
 				checkAgainstBrute(t, q, gotEA, want)
-				gotBL := SolveBaseline(tree, q)
+				gotBL := mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax
 				checkAgainstBrute(t, q, gotBL, want)
 			}
 		})
@@ -112,8 +112,8 @@ func TestSolversAgreeOnIPTree(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := randomQuery(v, rng, 1+rng.Intn(4), 1+rng.Intn(6), 1+rng.Intn(20))
 		want := SolveBrute(g, q)
-		checkAgainstBrute(t, q, Solve(tree, q), want)
-		checkAgainstBrute(t, q, SolveBaseline(tree, q), want)
+		checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, want)
+		checkAgainstBrute(t, q, mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax, want)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestNoClients(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	q := &Query{Existing: []indoor.PartitionID{1}, Candidates: []indoor.PartitionID{2}}
 	for name, r := range map[string]Result{
-		"efficient": Solve(tree, q),
-		"baseline":  SolveBaseline(tree, q),
+		"efficient": mustExec(tree, q, Options{}).MinMax,
+		"baseline":  mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax,
 		"brute":     SolveBrute(d2d.New(v), q).Result,
 	} {
 		if r.Found {
@@ -137,8 +137,8 @@ func TestNoCandidates(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	q := &Query{Existing: []indoor.PartitionID{1}, Clients: []Client{clientIn(v, 2, 0)}}
 	for name, r := range map[string]Result{
-		"efficient": Solve(tree, q),
-		"baseline":  SolveBaseline(tree, q),
+		"efficient": mustExec(tree, q, Options{}).MinMax,
+		"baseline":  mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax,
 		"brute":     SolveBrute(d2d.New(v), q).Result,
 	} {
 		if r.Found {
@@ -164,8 +164,8 @@ func TestNoExistingFacilities(t *testing.T) {
 	if !want.Found {
 		t.Fatal("oracle should find an answer with no existing facilities")
 	}
-	checkAgainstBrute(t, q, Solve(tree, q), want)
-	checkAgainstBrute(t, q, SolveBaseline(tree, q), want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax, want)
 }
 
 func TestAllClientsInsideExistingFacilities(t *testing.T) {
@@ -181,8 +181,8 @@ func TestAllClientsInsideExistingFacilities(t *testing.T) {
 	if want.Found {
 		t.Fatal("oracle: no improvement expected")
 	}
-	checkAgainstBrute(t, q, Solve(tree, q), want)
-	checkAgainstBrute(t, q, SolveBaseline(tree, q), want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax, want)
 }
 
 func TestClientInsideCandidate(t *testing.T) {
@@ -195,8 +195,8 @@ func TestClientInsideCandidate(t *testing.T) {
 		Clients:    []Client{clientIn(v, 3, 0)},
 	}
 	want := SolveBrute(g, q)
-	checkAgainstBrute(t, q, Solve(tree, q), want)
-	checkAgainstBrute(t, q, SolveBaseline(tree, q), want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax, want)
 }
 
 func clientIn(v *indoor.Venue, p indoor.PartitionID, id int32) Client {
@@ -213,7 +213,7 @@ func TestSingleClientSingleCandidate(t *testing.T) {
 		Clients:    []Client{clientIn(v, 0, 0)},
 	}
 	want := SolveBrute(g, q)
-	got := Solve(tree, q)
+	got := mustExec(tree, q, Options{}).MinMax
 	checkAgainstBrute(t, q, got, want)
 	// Exact value: center of A (5,5) to door (10,5) = 5, partition B is
 	// reached at its door, so objective 5.
@@ -232,8 +232,8 @@ func TestDuplicateCandidates(t *testing.T) {
 		Clients:    []Client{clientIn(v, 2, 0), clientIn(v, 3, 1)},
 	}
 	want := SolveBrute(g, q)
-	checkAgainstBrute(t, q, Solve(tree, q), want)
-	checkAgainstBrute(t, q, SolveBaseline(tree, q), want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, want)
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax, want)
 }
 
 func TestEfficientPrunesClients(t *testing.T) {
@@ -249,7 +249,7 @@ func TestEfficientPrunesClients(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.Clients = append(q.Clients, clientIn(v, rooms[i%3], int32(i)))
 	}
-	r := Solve(tree, q)
+	r := mustExec(tree, q, Options{}).MinMax
 	if r.Found {
 		t.Fatal("no improvement expected for clients inside facilities")
 	}
@@ -266,7 +266,7 @@ func TestEfficientStatsPopulated(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	rng := rand.New(rand.NewSource(8))
 	q := randomQuery(v, rng, 2, 4, 20)
-	r := Solve(tree, q)
+	r := mustExec(tree, q, Options{}).MinMax
 	if r.Stats.QueuePops == 0 || r.Stats.Retrievals == 0 {
 		t.Fatalf("stats not populated: %+v", r.Stats)
 	}
@@ -298,7 +298,7 @@ func TestStressManyClients(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		q := randomQuery(v, rng, 5, 10, 500)
 		want := SolveBrute(g, q)
-		checkAgainstBrute(t, q, Solve(tree, q), want)
-		checkAgainstBrute(t, q, SolveBaseline(tree, q), want)
+		checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, want)
+		checkAgainstBrute(t, q, mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax, want)
 	}
 }

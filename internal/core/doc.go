@@ -1,19 +1,24 @@
 // Package core implements the Indoor Facility Location Selection (IFLS)
-// query of Rayhan et al. (EDBT'23) and the algorithms the paper evaluates:
+// query of Rayhan et al. (EDBT'23) and the algorithms the paper evaluates.
+// Every algorithm runs through one entry point, Exec (or Session.Exec for
+// amortized repeated queries), selected by Options.Objective:
 //
-//   - Solve — the paper's efficient approach (Algorithms 2 and 3): a single
-//     bottom-up incremental nearest-facility search over one VIP-tree
-//     indexing existing facilities and candidate locations together, with
-//     client grouping by partition, a global distance bound, and client
-//     pruning per Lemma 5.1;
-//   - SolveBaseline — the modified MinMax algorithm (Algorithm 1), the
+//   - ObjMinMax — the paper's efficient approach (Algorithms 2 and 3): a
+//     single bottom-up incremental nearest-facility search over one
+//     VIP-tree indexing existing facilities and candidate locations
+//     together, with client grouping by partition, a global distance bound,
+//     and client pruning per Lemma 5.1;
+//   - ObjBaseline — the modified MinMax algorithm (Algorithm 1), the
 //     road-network state of the art (Chen et al., SIGMOD'14) adapted to
 //     indoor space on VIP-tree distance primitives;
-//   - SolveBrute — an exact oracle evaluating the objective for every
-//     candidate on the door-to-door graph, used for correctness testing;
-//   - SolveMinDist and SolveMaxSum — the Section 7 objective extensions;
-//   - SolveTopK and SolveGreedyMulti — top-k and multi-facility variants
+//   - ObjMinDist and ObjMaxSum — the Section 7 objective extensions;
+//   - ObjTopK and ObjMulti — top-k and greedy multi-facility variants
 //     following the k-location literature the paper surveys.
+//
+// SolveBrute (with SolveBruteMinDist, SolveBruteMaxSum, and
+// SolveBruteMulti) is an independent exact oracle evaluating the objective
+// for every candidate on the door-to-door graph, used for correctness
+// testing.
 //
 // The IFLS query: given clients C, existing facilities Fe, and candidate
 // locations Fn (facilities are partitions), return
@@ -25,14 +30,15 @@
 //
 // # Concurrency model
 //
-// Every solver in this package is a pure function of its arguments: all
-// traversal state (queues, per-client bookkeeping, vip.Explorer memos) is
-// allocated per call and never escapes, and the *vip.Tree argument is only
-// read. Distinct calls — same or different solver, same or different tree —
-// may therefore run concurrently without synchronization; internal/batch
-// relies on exactly this to fan query batches across workers. The one
-// stateful type is Session, which deliberately retains Explorer memos
-// across queries to amortize repeated work and is therefore
+// Exec is a pure function of its arguments unless the caller supplies a
+// Scratch: all traversal state (queues, per-client bookkeeping,
+// vip.Explorer memos) lives in a run-private Scratch and never escapes, and
+// the *vip.Tree argument is only read. Distinct calls — same or different
+// objective, same or different tree — may therefore run concurrently
+// without synchronization, provided no two share a Scratch; internal/batch
+// relies on exactly this to fan query batches across pooled Scratches. The
+// one stateful query type is Session, which deliberately retains Explorer
+// memos across queries to amortize repeated work and is therefore
 // single-goroutine (use one Session per goroutine; Sessions may share a
 // tree). Inputs follow the usual read-only rule: a Query and its slices
 // must not be mutated while a solver runs on them, but the solvers never

@@ -12,54 +12,6 @@ import (
 	"github.com/indoorspatial/ifls/internal/vip"
 )
 
-// Solve answers an IFLS query with the paper's efficient approach
-// (Algorithms 2 and 3). Existing facilities and candidate locations are
-// indexed together on one VIP-tree and the nearest facilities of all clients
-// are found incrementally with a single bottom-up best-first traversal:
-//
-//   - clients are grouped by partition — the queue holds (partition, entity)
-//     pairs keyed by iMinD, and one Explorer per partition serves every
-//     client in it (per-client values differ only in door offsets, which
-//     realizes the paper's single-door fast path for free);
-//   - Gd, the priority of the last dequeued entry, is the global bound: every
-//     facility within Gd of a client partition has been retrieved;
-//   - clients whose nearest existing facility is within the bound are pruned
-//     (Lemma 5.1) — no further candidate retrievals or distance computations
-//     are spent on them;
-//   - once every remaining client has at least one retrieved facility
-//     (isFirst), the verified horizon d_low advances through the retrieved
-//     distances in sorted steps (increaseDist), pruning clients and checking
-//     after each step whether some candidate now covers every remaining
-//     client within d_low. The first covering candidate is the answer and
-//     d_low is the exact objective value.
-//
-// All solver state is flat and ID-indexed: facility roles, candidate
-// indexes, per-partition client lists, and visited-node marks live in dense
-// epoch-stamped columns on the backing Scratch (a private one when the
-// caller supplies none), and the stepping loops run on monotone bucket
-// queues. Solve is a pure function over a read-only tree and query: state is
-// call-local, so concurrent Solve calls (on the same or different trees) are
-// safe without synchronization.
-//
-// Solve is a thin wrapper over Exec (as is every Solve* entry point in this
-// package): it is Exec with a background context and zero Options, which
-// skips every cancellation checkpoint.
-func Solve(t *vip.Tree, q *Query) Result {
-	r, _ := Exec(context.Background(), t, q, Options{})
-	return r.MinMax
-}
-
-// SolveContext is Solve with cooperative cancellation: the traversal checks
-// ctx at every queue dequeue and every d_low step, so a cancel or deadline
-// returns a faults.Cancelled error (wrapping ctx.Err()) within a bounded
-// number of per-partition retrievals. The partial Result is discarded.
-// SolveContext does not validate the query; the serving layer (package ifls
-// and internal/batch) runs Query.Validate before solving.
-func SolveContext(ctx context.Context, t *vip.Tree, q *Query) (Result, error) {
-	r, err := Exec(ctx, t, q, Options{})
-	return r.MinMax, err
-}
-
 // eaEntry is a traversal queue entry: a client partition paired with either
 // a tree node or a facility partition.
 type eaEntry struct {
@@ -118,10 +70,9 @@ type eaState struct {
 	gd, dlow float64
 	isFirst  bool
 
-	// ctx is non-nil only for the Context entry points and only when the
-	// context is cancellable (ctx.Done() != nil); checkpoints are skipped
-	// entirely otherwise, keeping the plain wrappers on the exact
-	// pre-context code path. err records the first observed cancellation.
+	// ctx is non-nil only when the run's context is cancellable
+	// (ctx.Done() != nil); checkpoints are skipped entirely otherwise. err
+	// records the first observed cancellation.
 	ctx context.Context
 	err error
 
@@ -132,15 +83,15 @@ type eaState struct {
 	rec      obs.Recorder
 	obsStart time.Time
 
-	// Top-k mode (SolveTopK): when topK > 0 the run records every
+	// Top-k mode (ObjTopK): when topK > 0 the run records every
 	// covering candidate with its exact objective instead of stopping at
 	// the first.
 	topK   int
 	ranked []RankedCandidate
 
-	// sc is the backing Scratch: the caller's pooled one, or a run-private
-	// one when none was supplied — both run the same code path. Its dense
-	// columns hold the facility roles, client grouping, and visited marks.
+	// sc is the backing Scratch (the caller's pooled one, or the private
+	// one Exec supplies). Its dense columns hold the facility roles, client
+	// grouping, and visited marks.
 	sc *Scratch
 
 	// cache resolves partitions to explorers: the Scratch's run-local
@@ -152,15 +103,11 @@ type eaState struct {
 	curPart indoor.PartitionID
 }
 
-// newEAState resets the MinMax traversal state held by sc (a private Scratch
-// is created when sc is nil, so fresh and pooled runs share one code path).
-// Dense columns reset by epoch bump, slices by truncation — lengths reset,
-// capacity retained, result-bearing slices (ranked) never pooled because
-// they escape to the caller.
+// newEAState resets the MinMax traversal state held by sc. Dense columns
+// reset by epoch bump, slices by truncation — lengths reset, capacity
+// retained, result-bearing slices (ranked) never pooled because they escape
+// to the caller.
 func newEAState(t *vip.Tree, q *Query, sc *Scratch) *eaState {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	m := len(q.Clients)
 	s := &sc.ea
 	s.t, s.q, s.venue = t, q, t.Venue()

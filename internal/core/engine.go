@@ -16,20 +16,28 @@ type Objective uint8
 
 const (
 	// ObjMinMax minimizes the maximum client-to-nearest-facility distance
-	// (Algorithms 2 and 3, the efficient approach).
+	// with the paper's efficient approach (Algorithms 2 and 3; see
+	// execMinMax). A cancellable context is checked at every queue dequeue
+	// and every d_low step.
 	ObjMinMax Objective = iota
-	// ObjBaseline answers MinMax with the per-client modified MinMax
-	// algorithm (Algorithm 1), kept for comparison.
+	// ObjBaseline answers MinMax with the modified MinMax algorithm
+	// (Algorithm 1; see execBaseline), kept for comparison. A cancellable
+	// context is checked once per client in the NN-search pass, once per
+	// candidate in the initial filter, once per client in the refinement
+	// loop, and once per surviving candidate in Find_Ans.
 	ObjBaseline
 	// ObjMinDist minimizes the total client-to-nearest-facility distance
-	// (Section 7 extension).
+	// (Section 7 extension; see execMinDist). Checkpoints as ObjMinMax.
 	ObjMinDist
 	// ObjMaxSum maximizes the number of captured clients (Section 7
-	// extension).
+	// extension; see execMaxSum). Checkpoints as ObjMinMax.
 	ObjMaxSum
-	// ObjTopK ranks the Options.K best candidates by MinMax objective.
+	// ObjTopK ranks the Options.K best candidates by MinMax objective (see
+	// execTopK). Checkpoints as ObjMinMax.
 	ObjTopK
-	// ObjMulti greedily selects Options.K candidates for K new facilities.
+	// ObjMulti greedily selects Options.K candidates for K new facilities
+	// (see execMulti). The context reaches every round's MinMax run, so a
+	// cancel takes effect at that run's checkpoints.
 	ObjMulti
 
 	numObjectives // sentinel: count of dispatch-table entries
@@ -45,7 +53,7 @@ func (o Objective) String() string {
 }
 
 // Options configure one Exec call. The zero value runs an unobserved,
-// non-pooled MinMax query — exactly core.Solve.
+// non-pooled MinMax query.
 type Options struct {
 	// Objective picks the dispatch-table entry.
 	Objective Objective
@@ -57,13 +65,9 @@ type Options struct {
 	// single nil comparison).
 	Recorder obs.Recorder
 	// Scratch, when non-nil, backs the run with pooled working memory; see
-	// Scratch for the reuse and ownership rules. Nil allocates fresh state,
-	// byte-identical to the pre-engine solvers.
+	// Scratch for the reuse and ownership rules. Nil gives the run a
+	// private Scratch, so fresh and pooled runs share one code path.
 	Scratch *Scratch
-	// Validate runs Query.Validate before dispatch, rejecting malformed
-	// input with faults.ErrInvalidQuery. Serving layers that already
-	// validated (and want their own error shaping) leave it false.
-	Validate bool
 
 	// explorers, when non-nil, replaces the run's explorer cache with a
 	// caller-owned persistent one. Only Session sets it: cached distance
@@ -118,31 +122,31 @@ func emptyTopK() ExecResult   { return ExecResult{} }
 func emptyMulti() ExecResult  { return ExecResult{Multi: noMultiResult()} }
 
 // Exec answers one IFLS query through the unified engine pipeline:
-// validate (opt-in) → dispatch → locate/group clients → bottom-up VIP-tree
-// traversal with Gd pruning → objective-specific scoring. Every exported
-// Solve* entry point in this package is a thin wrapper over Exec.
+// dispatch → locate/group clients → bottom-up VIP-tree traversal with Gd
+// pruning → objective-specific scoring. It and Session.Exec are the
+// package's only query entry points; the d2d brute-force oracle (SolveBrute
+// and friends) is the independent reference they are tested against.
 //
-// With a nil Recorder, a non-cancellable ctx, and a nil Scratch the run is
-// bit-identical to the pre-engine solvers. On any error the payload is the
-// zero ExecResult; partial work is discarded.
+// Exec does not validate q: callers run Query.Validate first (package ifls
+// and internal/batch do), since a malformed query may panic. A cancellable
+// ctx stops the run at the objective's next checkpoint (see the Obj*
+// constants) with a faults.Cancelled error wrapping ctx.Err(); a
+// non-cancellable one (Done() == nil) skips every checkpoint. With a nil
+// Recorder the run is on the exact unobserved code path. On any error the
+// payload is the zero ExecResult; partial work is discarded.
 //
 // Exec is safe for concurrent calls over one read-only tree as long as each
 // concurrent call has its own Scratch (or none).
 func Exec(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
-	if o.Validate {
-		if q == nil {
-			return ExecResult{}, fmt.Errorf("%w: nil query", faults.ErrInvalidQuery)
-		}
-		if err := q.Validate(t.Venue()); err != nil {
-			return ExecResult{}, err
-		}
-	}
 	if o.Objective >= numObjectives {
 		return ExecResult{}, fmt.Errorf("%w: objective %d", faults.ErrUnknownObjective, uint8(o.Objective))
 	}
 	e := &objectives[o.Objective]
 	if emptyInput(q, o) {
 		return e.empty(), nil
+	}
+	if o.Scratch == nil && o.Objective != ObjBaseline { // the baseline never touches a Scratch
+		o.Scratch = NewScratch()
 	}
 	return e.run(ctx, t, q, o)
 }
@@ -160,6 +164,31 @@ func emptyInput(q *Query, o Options) bool {
 	return false
 }
 
+// execMinMax runs the paper's efficient approach (Algorithms 2 and 3).
+// Existing facilities and candidate locations are indexed together on one
+// VIP-tree and the nearest facilities of all clients are found
+// incrementally with a single bottom-up best-first traversal:
+//
+//   - clients are grouped by partition — the queue holds (partition, entity)
+//     pairs keyed by iMinD, and one Explorer per partition serves every
+//     client in it (per-client values differ only in door offsets, which
+//     realizes the paper's single-door fast path for free);
+//   - Gd, the priority of the last dequeued entry, is the global bound: every
+//     facility within Gd of a client partition has been retrieved;
+//   - clients whose nearest existing facility is within the bound are pruned
+//     (Lemma 5.1) — no further candidate retrievals or distance computations
+//     are spent on them;
+//   - once every remaining client has at least one retrieved facility
+//     (isFirst), the verified horizon d_low advances through the retrieved
+//     distances in sorted steps (increaseDist), pruning clients and checking
+//     after each step whether some candidate now covers every remaining
+//     client within d_low. The first covering candidate is the answer and
+//     d_low is the exact objective value.
+//
+// All solver state is flat and ID-indexed: facility roles, candidate
+// indexes, per-partition client lists, and visited-node marks live in dense
+// epoch-stamped columns on the run's Scratch, and the stepping loops run on
+// monotone bucket queues.
 func execMinMax(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
 	s := newEAState(t, q, o.Scratch)
 	if o.explorers != nil {
@@ -174,10 +203,21 @@ func execMinMax(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResu
 	return ExecResult{MinMax: r}, nil
 }
 
-// execBaseline runs the per-client modified MinMax algorithm. It shares the
-// engine's validation and empty-result semantics but not its traversal or
-// Scratch: the baseline's state is a handful of call-local slices, which is
-// exactly the memory frugality the paper measures it for.
+// execBaseline runs the modified MinMax algorithm (Algorithm 1 of the
+// paper): the road-network MinMax algorithm of Chen et al. adapted to indoor
+// space. Fe and Fn are indexed as separate facility sets over the VIP-tree;
+// each client's nearest existing facility is found with an individual
+// top-down NN search, clients are processed in descending order of that
+// distance, and the candidate answer set is refined with the paper's two
+// pruning rules until it collapses or all clients have been considered.
+//
+// Every client is processed separately — one NN search per client and one
+// standalone point-to-partition distance computation per examined (client,
+// candidate) pair. That per-client cost is exactly the limitation the
+// efficient approach removes. The baseline shares the engine's empty-result
+// semantics but not its traversal or Scratch: its state is a handful of
+// call-local slices, which is exactly the memory frugality the paper
+// measures it for.
 func execBaseline(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
 	r, err := solveBaseline(ctx, t, q, o.Recorder)
 	if err != nil {
@@ -186,14 +226,25 @@ func execBaseline(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecRe
 	return ExecResult{MinMax: r}, nil
 }
 
+// execMinDist answers the MinDist variant (Section 7): the candidate
+// minimizing the total distance of all clients to their nearest facility in
+// Fe ∪ {candidate}. The traversal, grouping, and Lemma 5.1 client pruning
+// are exactly those of execMinMax; only the candidate bookkeeping changes. A
+// client's contribution settles exactly when it becomes determined:
+//
+//   - a pruned client's nearest existing distance is final (everything
+//     nearer has been retrieved), so its contribution to candidate n is
+//     min(dNN, d(c,n)) when n was retrieved for it and dNN otherwise;
+//   - an unpruned client (dNN > Gd) contributes exactly d(c,n) for every
+//     candidate retrieved within Gd;
+//   - all other contributions are lower-bounded by Gd.
+//
+// The search stops when some fully-settled candidate's total is no larger
+// than every other candidate's lower bound.
 func execMinDist(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
 	res := ExtResult{}
-	sc := o.Scratch
-	if sc == nil {
-		sc = NewScratch() // one private Scratch shared by objective and state
-	}
-	obj := newMinDistObj(len(q.Clients), sc)
-	s := newExtState(t, q, obj, &res.Stats, sc)
+	obj := newMinDistObj(len(q.Clients), o.Scratch)
+	s := newExtState(t, q, obj, &res.Stats, o.Scratch)
 	if o.explorers != nil {
 		s.cache = o.explorers
 	}
@@ -211,14 +262,24 @@ func execMinDist(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecRes
 	return ExecResult{Ext: res}, nil
 }
 
+// execMaxSum answers the MaxSum variant (Section 7): the candidate that
+// captures the most clients, where a candidate captures a client when it
+// would become the client's nearest facility (strictly closer than every
+// existing facility). The shared traversal decides each (client, candidate)
+// pair exactly:
+//
+//   - a candidate retrieved within Gd for an unpruned client captures it
+//     (the client's nearest existing facility is beyond Gd);
+//   - a pruned client's nearest existing distance is final, so retrieved
+//     pairs compare directly and unretrieved candidates (farther than Gd)
+//     cannot capture it;
+//
+// and stops when some fully-decided candidate's captured count reaches every
+// other candidate's upper bound (decided captures plus undecided pairs).
 func execMaxSum(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
 	res := ExtResult{}
-	sc := o.Scratch
-	if sc == nil {
-		sc = NewScratch() // one private Scratch shared by objective and state
-	}
-	obj := newMaxSumObj(len(q.Clients), sc)
-	s := newExtState(t, q, obj, &res.Stats, sc)
+	obj := newMaxSumObj(len(q.Clients), o.Scratch)
+	s := newExtState(t, q, obj, &res.Stats, o.Scratch)
 	if o.explorers != nil {
 		s.cache = o.explorers
 	}
@@ -236,6 +297,15 @@ func execMaxSum(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResu
 	return ExecResult{Ext: res}, nil
 }
 
+// execTopK returns the o.K candidates with the smallest MinMax objectives in
+// ascending order, following the k-optimal-location formulations of the
+// location-selection literature the paper surveys. It reuses execMinMax's
+// traversal: a candidate's exact objective equals the first d_low horizon at
+// which it covers every remaining client, so continuing the incremental
+// search until K candidates have covered yields the top K with their exact
+// objectives, in order, still in a single pass. Candidates that do not
+// improve on the status quo are not returned, so the ranking may hold fewer
+// than K entries.
 func execTopK(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
 	s := newEAState(t, q, o.Scratch)
 	if o.explorers != nil {
@@ -250,10 +320,15 @@ func execTopK(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult
 	return ExecResult{TopK: finishTopK(s, o.K)}, nil
 }
 
-// execMulti runs the greedy multi-facility chain: each round is one MinMax
-// Exec (sharing this call's Scratch, Recorder, and explorer cache — a
-// Scratch reset makes sequential rounds safe), the winner joins the
-// existing set, and selection stops when no candidate improves.
+// execMulti selects o.K candidate locations for K new facilities greedily:
+// each round is one MinMax run (sharing this call's Scratch, Recorder, and
+// explorer cache — a Scratch reset makes sequential rounds safe), the winner
+// joins the existing set, and selection stops early, with fewer than K
+// answers, when no remaining candidate improves the objective. Joint
+// k-facility MinMax selection generalizes k-center and is NP-hard, so a
+// greedy chain is the standard practical approach (the k-location variants
+// the paper surveys do the same); SolveBruteMulti provides the exact joint
+// optimum for small instances and tests.
 func execMulti(ctx context.Context, t *vip.Tree, q *Query, o Options) (ExecResult, error) {
 	res := MultiResult{}
 	existing := append([]indoor.PartitionID(nil), q.Existing...)

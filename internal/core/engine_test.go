@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/indoorspatial/ifls/internal/faults"
-	"github.com/indoorspatial/ifls/internal/indoor"
 	"github.com/indoorspatial/ifls/internal/testvenue"
 	"github.com/indoorspatial/ifls/internal/vip"
 )
@@ -55,6 +54,25 @@ func eqMulti(a, b MultiResult) bool {
 	return true
 }
 
+// mustExec is Exec with a background context, which never cancels: the
+// only error left is an unknown objective, a bug in the calling test.
+func mustExec(tree *vip.Tree, q *Query, o Options) ExecResult {
+	r, err := Exec(context.Background(), tree, q, o)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// mustSessionExec is mustExec through a Session.
+func mustSessionExec(s *Session, q *Query, o Options) ExecResult {
+	r, err := s.Exec(context.Background(), q, o)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func engineFixture(t *testing.T) (*vip.Tree, *Query) {
 	t.Helper()
 	v := testvenue.Grid(testvenue.GridParams{Cols: 5, Levels: 2, InterRoomDoors: true})
@@ -72,58 +90,20 @@ func engineFixture(t *testing.T) (*vip.Tree, *Query) {
 	return tree, q
 }
 
-// TestExecWrapperParity: every exported Solve* entry point is a thin wrapper
-// over Exec, so calling Exec directly must return byte-identical payloads.
+// TestExecWrapperParity: a nil Options.Scratch is exactly a fresh
+// NewScratch — Exec supplies the private one itself, so both calls run the
+// same code and return byte-identical payloads, Stats included.
 func TestExecWrapperParity(t *testing.T) {
 	tree, q := engineFixture(t)
-	ctx := context.Background()
-
-	er, err := Exec(ctx, tree, q, Options{Objective: ObjMinMax})
-	if err != nil {
-		t.Fatalf("Exec minmax: %v", err)
-	}
-	if want := Solve(tree, q); !eqResult(er.MinMax, want) {
-		t.Fatalf("minmax: Exec %+v != Solve %+v", er.MinMax, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjBaseline})
-	if err != nil {
-		t.Fatalf("Exec baseline: %v", err)
-	}
-	if want := SolveBaseline(tree, q); !eqResult(er.MinMax, want) {
-		t.Fatalf("baseline: Exec %+v != SolveBaseline %+v", er.MinMax, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjMinDist})
-	if err != nil {
-		t.Fatalf("Exec mindist: %v", err)
-	}
-	if want := SolveMinDist(tree, q); !eqExtResult(er.Ext, want) {
-		t.Fatalf("mindist: Exec %+v != SolveMinDist %+v", er.Ext, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjMaxSum})
-	if err != nil {
-		t.Fatalf("Exec maxsum: %v", err)
-	}
-	if want := SolveMaxSum(tree, q); !eqExtResult(er.Ext, want) {
-		t.Fatalf("maxsum: Exec %+v != SolveMaxSum %+v", er.Ext, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjTopK, K: 3})
-	if err != nil {
-		t.Fatalf("Exec topk: %v", err)
-	}
-	if want := SolveTopK(tree, q, 3); !eqTopK(er.TopK, want) {
-		t.Fatalf("topk: Exec %v != SolveTopK %v", er.TopK, want)
-	}
-
-	er, err = Exec(ctx, tree, q, Options{Objective: ObjMulti, K: 2})
-	if err != nil {
-		t.Fatalf("Exec multi: %v", err)
-	}
-	if want := SolveGreedyMulti(tree, q, 2); !eqMulti(er.Multi, want) {
-		t.Fatalf("multi: Exec %+v != SolveGreedyMulti %+v", er.Multi, want)
+	for obj := Objective(0); obj < numObjectives; obj++ {
+		o := Options{Objective: obj, K: 2}
+		nilScratch := mustExec(tree, q, o)
+		o.Scratch = NewScratch()
+		fresh := mustExec(tree, q, o)
+		if !eqResult(nilScratch.MinMax, fresh.MinMax) || !eqExtResult(nilScratch.Ext, fresh.Ext) ||
+			!eqTopK(nilScratch.TopK, fresh.TopK) || !eqMulti(nilScratch.Multi, fresh.Multi) {
+			t.Fatalf("%v: nil Scratch %+v != NewScratch %+v", obj, nilScratch, fresh)
+		}
 	}
 }
 
@@ -184,28 +164,6 @@ func TestExecUnknownObjective(t *testing.T) {
 	_, err := Exec(context.Background(), tree, q, Options{Objective: numObjectives + 3})
 	if !errors.Is(err, faults.ErrUnknownObjective) {
 		t.Fatalf("err = %v, want ErrUnknownObjective", err)
-	}
-}
-
-// TestExecValidate: Options.Validate front-loads Query.Validate, rejecting a
-// nil query and malformed input with ErrInvalidQuery.
-func TestExecValidate(t *testing.T) {
-	tree, q := engineFixture(t)
-	ctx := context.Background()
-
-	if _, err := Exec(ctx, tree, nil, Options{Validate: true}); !errors.Is(err, faults.ErrInvalidQuery) {
-		t.Fatalf("nil query: err = %v, want ErrInvalidQuery", err)
-	}
-	bad := &Query{
-		Existing:   []indoor.PartitionID{indoor.PartitionID(tree.Venue().NumPartitions() + 7)},
-		Candidates: q.Candidates,
-		Clients:    q.Clients,
-	}
-	if _, err := Exec(ctx, tree, bad, Options{Validate: true}); !errors.Is(err, faults.ErrInvalidQuery) {
-		t.Fatalf("out-of-range facility: err = %v, want ErrInvalidQuery", err)
-	}
-	if _, err := Exec(ctx, tree, q, Options{Validate: true}); err != nil {
-		t.Fatalf("valid query rejected: %v", err)
 	}
 }
 

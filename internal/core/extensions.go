@@ -90,13 +90,9 @@ type extState struct {
 	curPart indoor.PartitionID
 }
 
-// newExtState resets the shared extension traversal state held by sc (a
-// private Scratch is created when sc is nil); see newEAState for the reset
-// contract.
+// newExtState resets the shared extension traversal state held by sc; see
+// newEAState for the reset contract.
 func newExtState(t *vip.Tree, q *Query, obj extObjective, stats *Stats, sc *Scratch) *extState {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	m := len(q.Clients)
 	s := &sc.ext
 	s.t, s.q, s.res, s.obj = t, q, stats, obj

@@ -81,8 +81,8 @@ func TestFigure1Scenario(t *testing.T) {
 		})
 	}
 	want := SolveBrute(g, q)
-	eff := Solve(tree, q)
-	base := SolveBaseline(tree, q)
+	eff := mustExec(tree, q, Options{}).MinMax
+	base := mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax
 	checkAgainstBrute(t, q, eff, want)
 	checkAgainstBrute(t, q, base, want)
 
@@ -120,7 +120,7 @@ func TestFigure1AllObjectives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := randomQuery(v, rng, 4, 13, 60)
 
-	checkAgainstBrute(t, q, Solve(tree, q), SolveBrute(g, q))
-	checkExtAgainstBrute(t, "mindist", q, SolveMinDist(tree, q), SolveBruteMinDist(g, q))
-	checkExtAgainstBrute(t, "maxsum", q, SolveMaxSum(tree, q), SolveBruteMaxSum(g, q))
+	checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, SolveBrute(g, q))
+	checkExtAgainstBrute(t, "mindist", q, mustExec(tree, q, Options{Objective: ObjMinDist}).Ext, SolveBruteMinDist(g, q))
+	checkExtAgainstBrute(t, "maxsum", q, mustExec(tree, q, Options{Objective: ObjMaxSum}).Ext, SolveBruteMaxSum(g, q))
 }

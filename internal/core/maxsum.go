@@ -1,44 +1,10 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/vip"
 )
-
-// SolveMaxSum answers the MaxSum variant of the IFLS query (Section 7): it
-// returns the candidate that captures the most clients, where a candidate
-// captures a client when it would become the client's nearest facility
-// (strictly closer than every existing facility). The shared traversal
-// decides each (client, candidate) pair exactly:
-//
-//   - a candidate retrieved within Gd for an unpruned client captures it
-//     (the client's nearest existing facility is beyond Gd);
-//   - a pruned client's nearest existing distance is final, so retrieved
-//     pairs compare directly and unretrieved candidates (farther than Gd)
-//     cannot capture it;
-//
-// and stops when some fully-decided candidate's captured count reaches every
-// other candidate's upper bound (decided captures plus undecided pairs).
-//
-// Call-local state over a read-only tree; concurrent calls are safe.
-func SolveMaxSum(t *vip.Tree, q *Query) ExtResult {
-	r, _ := SolveMaxSumContext(context.Background(), t, q)
-	return r
-}
-
-// SolveMaxSumContext is SolveMaxSum with cooperative cancellation; see
-// SolveContext for the checkpoint contract. Partial counts are discarded on
-// cancellation. A thin wrapper over Exec with ObjMaxSum.
-func SolveMaxSumContext(ctx context.Context, t *vip.Tree, q *Query) (ExtResult, error) {
-	r, err := Exec(ctx, t, q, Options{Objective: ObjMaxSum})
-	if err != nil {
-		return ExtResult{}, err
-	}
-	return r.Ext, nil
-}
 
 // maxSumObj counts captured clients per candidate over the shared pairTab
 // bookkeeping.
@@ -49,12 +15,9 @@ type maxSumObj struct {
 	decided  []int
 }
 
-// newMaxSumObj resets the MaxSum candidate bookkeeping held by sc (a private
-// Scratch is created when sc is nil); see newEAState for the reset contract.
+// newMaxSumObj resets the MaxSum candidate bookkeeping held by sc; see
+// newEAState for the reset contract.
 func newMaxSumObj(m int, sc *Scratch) *maxSumObj {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	o := &sc.ms
 	o.tab.reset(m, &sc.pending)
 	return o

@@ -21,8 +21,8 @@ func TestRetainedMemoryShape(t *testing.T) {
 	prevEff := 0
 	for _, m := range []int{50, 200, 800} {
 		q := randomQuery(v, rng, 3, 8, m)
-		eff := Solve(tree, q)
-		base := SolveBaseline(tree, q)
+		eff := mustExec(tree, q, Options{}).MinMax
+		base := mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax
 		if eff.Stats.RetainedBytes <= 0 || base.Stats.RetainedBytes <= 0 {
 			t.Fatalf("retained bytes not recorded: eff=%d base=%d",
 				eff.Stats.RetainedBytes, base.Stats.RetainedBytes)
@@ -45,10 +45,10 @@ func TestExtensionsRecordRetained(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	rng := rand.New(rand.NewSource(7))
 	q := randomQuery(v, rng, 2, 5, 40)
-	if r := SolveMinDist(tree, q); r.Stats.RetainedBytes <= 0 {
+	if r := mustExec(tree, q, Options{Objective: ObjMinDist}).Ext; r.Stats.RetainedBytes <= 0 {
 		t.Errorf("MinDist retained = %d", r.Stats.RetainedBytes)
 	}
-	if r := SolveMaxSum(tree, q); r.Stats.RetainedBytes <= 0 {
+	if r := mustExec(tree, q, Options{Objective: ObjMaxSum}).Ext; r.Stats.RetainedBytes <= 0 {
 		t.Errorf("MaxSum retained = %d", r.Stats.RetainedBytes)
 	}
 }

@@ -1,46 +1,10 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/vip"
 )
-
-// SolveMinDist answers the MinDist variant of the IFLS query (Section 7):
-// it returns the candidate minimizing the total distance of all clients to
-// their nearest facility in Fe ∪ {candidate}. The traversal, grouping, and
-// Lemma 5.1 client pruning are exactly those of the MinMax efficient
-// approach; only the candidate bookkeeping changes. A client's contribution
-// settles exactly when it becomes determined:
-//
-//   - a pruned client's nearest existing distance is final (everything
-//     nearer has been retrieved), so its contribution to candidate n is
-//     min(dNN, d(c,n)) when n was retrieved for it and dNN otherwise;
-//   - an unpruned client (dNN > Gd) contributes exactly d(c,n) for every
-//     candidate retrieved within Gd;
-//   - all other contributions are lower-bounded by Gd.
-//
-// The search stops when some fully-settled candidate's total is no larger
-// than every other candidate's lower bound.
-//
-// Call-local state over a read-only tree; concurrent calls are safe.
-func SolveMinDist(t *vip.Tree, q *Query) ExtResult {
-	r, _ := SolveMinDistContext(context.Background(), t, q)
-	return r
-}
-
-// SolveMinDistContext is SolveMinDist with cooperative cancellation; see
-// SolveContext for the checkpoint contract. Partial totals are discarded on
-// cancellation. A thin wrapper over Exec with ObjMinDist.
-func SolveMinDistContext(ctx context.Context, t *vip.Tree, q *Query) (ExtResult, error) {
-	r, err := Exec(ctx, t, q, Options{Objective: ObjMinDist})
-	if err != nil {
-		return ExtResult{}, err
-	}
-	return r.Ext, nil
-}
 
 // minDistObj accumulates exact per-candidate totals over the shared pairTab
 // bookkeeping.
@@ -53,13 +17,9 @@ type minDistObj struct {
 	dNN          []float64
 }
 
-// newMinDistObj resets the MinDist candidate bookkeeping held by sc (a
-// private Scratch is created when sc is nil); see newEAState for the reset
-// contract.
+// newMinDistObj resets the MinDist candidate bookkeeping held by sc; see
+// newEAState for the reset contract.
 func newMinDistObj(m int, sc *Scratch) *minDistObj {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	o := &sc.md
 	o.tab.reset(m, &sc.pending)
 	o.dNN = resize(o.dNN, m)

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"github.com/indoorspatial/ifls/internal/d2d"
 	"github.com/indoorspatial/ifls/internal/indoor"
-	"github.com/indoorspatial/ifls/internal/vip"
 )
 
 // MultiResult is the outcome of selecting several new facilities at once.
@@ -19,38 +17,6 @@ type MultiResult struct {
 	// PerStep[i] is the objective after the first i+1 selections.
 	PerStep []float64
 	Stats   Stats
-}
-
-// SolveGreedyMulti selects k candidate locations for k new facilities,
-// greedily: each round runs the efficient single-facility IFLS query, adds
-// the winner to the existing set, and repeats. Joint k-facility MinMax
-// selection generalizes k-center and is NP-hard, so a greedy chain is the
-// standard practical approach (the k-location variants the paper surveys
-// do the same); SolveBruteMulti provides the exact joint optimum for small
-// instances and tests.
-//
-// Selection stops early when no remaining candidate improves the objective;
-// Answers then holds fewer than k entries.
-//
-// The greedy chain runs sequentially inside the call (each round depends
-// on the last), but the call as a whole is state-local like Solve;
-// concurrent calls are safe.
-func SolveGreedyMulti(t *vip.Tree, q *Query, k int) MultiResult {
-	r, _ := SolveGreedyMultiContext(context.Background(), t, q, k)
-	return r
-}
-
-// SolveGreedyMultiContext is SolveGreedyMulti with cooperative cancellation:
-// the context is threaded into each round's single-facility solve, so a
-// cancel takes effect at that solver's checkpoint granularity. The partial
-// selection chain is discarded on cancellation. A thin wrapper over Exec
-// with ObjMulti.
-func SolveGreedyMultiContext(ctx context.Context, t *vip.Tree, q *Query, k int) (MultiResult, error) {
-	r, err := Exec(ctx, t, q, Options{Objective: ObjMulti, K: k})
-	if err != nil {
-		return MultiResult{}, err
-	}
-	return r.Multi, nil
 }
 
 // noMultiResult is the canonical "no selection possible" MultiResult: no

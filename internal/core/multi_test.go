@@ -16,8 +16,8 @@ func TestGreedyMultiMatchesSingleForK1(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for trial := 0; trial < 15; trial++ {
 		q := randomQuery(v, rng, 2, 6, 25)
-		single := Solve(tree, q)
-		multi := SolveGreedyMulti(tree, q, 1)
+		single := mustExec(tree, q, Options{}).MinMax
+		multi := mustExec(tree, q, Options{Objective: ObjMulti, K: 1}).Multi
 		if single.Found != (len(multi.Answers) == 1) {
 			t.Fatalf("k=1 disagreement: single %+v, multi %+v", single, multi)
 		}
@@ -34,7 +34,7 @@ func TestGreedyMultiObjectiveMonotone(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	rng := rand.New(rand.NewSource(12))
 	q := randomQuery(v, rng, 1, 8, 40)
-	multi := SolveGreedyMulti(tree, q, 4)
+	multi := mustExec(tree, q, Options{Objective: ObjMulti, K: 4}).Multi
 	for i := 1; i < len(multi.PerStep); i++ {
 		if multi.PerStep[i] > multi.PerStep[i-1]+1e-9 {
 			t.Fatalf("objective rose across rounds: %v", multi.PerStep)
@@ -65,7 +65,7 @@ func TestGreedyVsJointOptimum(t *testing.T) {
 		q := randomQuery(v, rng, 1, 6, 20)
 		const k = 2
 		joint := SolveBruteMulti(g, q, k)
-		greedy := SolveGreedyMulti(tree, q, k)
+		greedy := mustExec(tree, q, Options{Objective: ObjMulti, K: k}).Multi
 		if len(greedy.Answers) < k {
 			// Greedy stopped early: no further improvement possible, so
 			// its objective still cannot be beaten by more than the joint
@@ -112,14 +112,14 @@ func TestMultiDegenerate(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	g := d2d.New(v)
 	empty := &Query{}
-	if r := SolveGreedyMulti(tree, empty, 2); len(r.Answers) != 0 || !math.IsNaN(r.Objective) {
+	if r := mustExec(tree, empty, Options{Objective: ObjMulti, K: 2}).Multi; len(r.Answers) != 0 || !math.IsNaN(r.Objective) {
 		t.Fatalf("empty query: %+v", r)
 	}
 	if r := SolveBruteMulti(g, empty, 2); len(r.Answers) != 0 {
 		t.Fatalf("empty query brute: %+v", r)
 	}
 	q := &Query{Candidates: v.Rooms(), Clients: []Client{clientIn(v, 1, 0)}}
-	if r := SolveGreedyMulti(tree, q, 0); len(r.Answers) != 0 {
+	if r := mustExec(tree, q, Options{Objective: ObjMulti, K: 0}).Multi; len(r.Answers) != 0 {
 		t.Fatalf("k=0: %+v", r)
 	}
 }

@@ -24,66 +24,71 @@ func TestObservedSolversMatchUnobserved(t *testing.T) {
 	tree, q := observeFixture()
 	ctx := context.Background()
 
-	plain := Solve(tree, q)
+	plain := mustExec(tree, q, Options{}).MinMax
 	var rec obs.Counting
-	got, err := SolveObserved(ctx, tree, q, &rec)
+	er, err := Exec(ctx, tree, q, Options{Recorder: &rec})
+	got := er.MinMax
 	if err != nil {
-		t.Fatalf("SolveObserved: %v", err)
+		t.Fatalf("observed minmax: %v", err)
 	}
 	if got != plain {
-		t.Fatalf("SolveObserved = %+v, Solve = %+v", got, plain)
+		t.Fatalf("observed %+v, plain %+v", got, plain)
 	}
 	if rec.Counts.Total() == 0 {
-		t.Fatal("SolveObserved recorded no span events")
+		t.Fatal("observed minmax recorded no span events")
 	}
 
-	plainBL := SolveBaseline(tree, q)
+	plainBL := mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax
 	var recBL obs.Counting
-	gotBL, err := SolveBaselineObserved(ctx, tree, q, &recBL)
+	er, err = Exec(ctx, tree, q, Options{Objective: ObjBaseline, Recorder: &recBL})
+	gotBL := er.MinMax
 	if err != nil {
-		t.Fatalf("SolveBaselineObserved: %v", err)
+		t.Fatalf("observed baseline: %v", err)
 	}
 	if gotBL.Found != plainBL.Found || gotBL.Answer != plainBL.Answer || gotBL.Objective != plainBL.Objective {
-		t.Fatalf("SolveBaselineObserved = %+v, SolveBaseline = %+v", gotBL, plainBL)
+		t.Fatalf("observed baseline %+v, plain %+v", gotBL, plainBL)
 	}
 	if recBL.Counts.Total() == 0 {
-		t.Fatal("SolveBaselineObserved recorded no span events")
+		t.Fatal("observed baseline recorded no span events")
 	}
 
-	plainMD := SolveMinDist(tree, q)
+	plainMD := mustExec(tree, q, Options{Objective: ObjMinDist}).Ext
 	var recMD obs.Counting
-	gotMD, err := SolveMinDistObserved(ctx, tree, q, &recMD)
+	er, err = Exec(ctx, tree, q, Options{Objective: ObjMinDist, Recorder: &recMD})
+	gotMD := er.Ext
 	if err != nil {
-		t.Fatalf("SolveMinDistObserved: %v", err)
+		t.Fatalf("observed mindist: %v", err)
 	}
 	if gotMD.Answer != plainMD.Answer || gotMD.Objective != plainMD.Objective {
-		t.Fatalf("SolveMinDistObserved = %+v, SolveMinDist = %+v", gotMD, plainMD)
+		t.Fatalf("observed mindist %+v, plain %+v", gotMD, plainMD)
 	}
 	if recMD.Counts.Total() == 0 {
-		t.Fatal("SolveMinDistObserved recorded no span events")
+		t.Fatal("observed mindist recorded no span events")
 	}
 
-	plainMS := SolveMaxSum(tree, q)
+	plainMS := mustExec(tree, q, Options{Objective: ObjMaxSum}).Ext
 	var recMS obs.Counting
-	gotMS, err := SolveMaxSumObserved(ctx, tree, q, &recMS)
+	er, err = Exec(ctx, tree, q, Options{Objective: ObjMaxSum, Recorder: &recMS})
+	gotMS := er.Ext
 	if err != nil {
-		t.Fatalf("SolveMaxSumObserved: %v", err)
+		t.Fatalf("observed maxsum: %v", err)
 	}
 	if gotMS.Answer != plainMS.Answer || gotMS.Objective != plainMS.Objective {
-		t.Fatalf("SolveMaxSumObserved = %+v, SolveMaxSum = %+v", gotMS, plainMS)
+		t.Fatalf("observed maxsum %+v, plain %+v", gotMS, plainMS)
 	}
 	if recMS.Counts.Total() == 0 {
-		t.Fatal("SolveMaxSumObserved recorded no span events")
+		t.Fatal("observed maxsum recorded no span events")
 	}
 
-	plainTK := SolveTopK(tree, q, 3)
+	plainTK := mustExec(tree, q, Options{Objective: ObjTopK, K: 3}).TopK
 	var recTK obs.Counting
-	gotTK, err := SolveTopKObserved(ctx, tree, q, 3, &recTK)
+	er, err = Exec(ctx, tree, q, Options{Objective: ObjTopK, K: 3, Recorder: &recTK})
+	gotTK := er.TopK
 	if err != nil {
-		t.Fatalf("SolveTopKObserved: %v", err)
+		t.Fatalf("observed topk: %v", err)
 	}
 	if len(gotTK) != len(plainTK) {
-		t.Fatalf("SolveTopKObserved returned %d candidates, SolveTopK %d", len(gotTK), len(plainTK))
+		t.Fatalf("observed topk returned %d candidates, plain %d", len(gotTK), len(plainTK))
 	}
 	for i := range gotTK {
 		if gotTK[i] != plainTK[i] {
@@ -91,7 +96,7 @@ func TestObservedSolversMatchUnobserved(t *testing.T) {
 		}
 	}
 	if recTK.Counts.Total() == 0 {
-		t.Fatal("SolveTopKObserved recorded no span events")
+		t.Fatal("observed topk recorded no span events")
 	}
 }
 
@@ -102,19 +107,19 @@ func TestObservedStagesCovered(t *testing.T) {
 	tree, q := observeFixture()
 	solvers := map[string]func(obs.Recorder) error{
 		"efficient": func(r obs.Recorder) error {
-			_, err := SolveObserved(context.Background(), tree, q, r)
+			_, err := Exec(context.Background(), tree, q, Options{Recorder: r})
 			return err
 		},
 		"mindist": func(r obs.Recorder) error {
-			_, err := SolveMinDistObserved(context.Background(), tree, q, r)
+			_, err := Exec(context.Background(), tree, q, Options{Objective: ObjMinDist, Recorder: r})
 			return err
 		},
 		"maxsum": func(r obs.Recorder) error {
-			_, err := SolveMaxSumObserved(context.Background(), tree, q, r)
+			_, err := Exec(context.Background(), tree, q, Options{Objective: ObjMaxSum, Recorder: r})
 			return err
 		},
 		"baseline": func(r obs.Recorder) error {
-			_, err := SolveBaselineObserved(context.Background(), tree, q, r)
+			_, err := Exec(context.Background(), tree, q, Options{Objective: ObjBaseline, Recorder: r})
 			return err
 		},
 	}
@@ -138,8 +143,8 @@ func TestObservedStagesCovered(t *testing.T) {
 func TestObservedSpanMonotonic(t *testing.T) {
 	tree, q := observeFixture()
 	var tr obs.Trace
-	if _, err := SolveObserved(context.Background(), tree, q, &tr); err != nil {
-		t.Fatalf("SolveObserved: %v", err)
+	if _, err := Exec(context.Background(), tree, q, Options{Recorder: &tr}); err != nil {
+		t.Fatalf("Exec: %v", err)
 	}
 	spans := tr.Spans()
 	if len(spans) == 0 {
@@ -168,13 +173,13 @@ func TestNoopRecorderZeroAllocOverhead(t *testing.T) {
 	tree, q := observeFixture()
 	ctx := context.Background()
 	base := testing.AllocsPerRun(50, func() {
-		if _, err := SolveContext(ctx, tree, q); err != nil {
-			t.Fatalf("SolveContext: %v", err)
+		if _, err := Exec(ctx, tree, q, Options{}); err != nil {
+			t.Fatalf("Exec: %v", err)
 		}
 	})
 	withNop := testing.AllocsPerRun(50, func() {
-		if _, err := SolveObserved(ctx, tree, q, obs.Nop{}); err != nil {
-			t.Fatalf("SolveObserved: %v", err)
+		if _, err := Exec(ctx, tree, q, Options{Recorder: obs.Nop{}}); err != nil {
+			t.Fatalf("Exec with obs.Nop: %v", err)
 		}
 	})
 	if withNop > base {
@@ -186,7 +191,7 @@ func BenchmarkSolve(b *testing.B) {
 	tree, q := observeFixture()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Solve(tree, q)
+		mustExec(tree, q, Options{})
 	}
 }
 
@@ -195,7 +200,7 @@ func BenchmarkSolveObservedNop(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveObserved(ctx, tree, q, obs.Nop{}); err != nil {
+		if _, err := Exec(ctx, tree, q, Options{Recorder: obs.Nop{}}); err != nil {
 			b.Fatal(err)
 		}
 	}

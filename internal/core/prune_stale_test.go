@@ -23,7 +23,7 @@ func pruneFixture(t *testing.T) *eaState {
 		Candidates: rooms[1:2],
 		Clients:    []Client{clientIn(v, rooms[2], 0), clientIn(v, rooms[3], 1)},
 	}
-	return newEAState(tree, q, nil)
+	return newEAState(tree, q, NewScratch())
 }
 
 // TestPruneSkipsStaleLargerKey: a key pushed before the client's bestExist
@@ -86,9 +86,10 @@ func TestExtPruneStaleKeyParity(t *testing.T) {
 		Clients:    []Client{clientIn(v, rooms[2], 0), clientIn(v, rooms[3], 1)},
 	}
 	var stats Stats
-	obj := newMinDistObj(len(q.Clients), nil)
+	sc := NewScratch()
+	obj := newMinDistObj(len(q.Clients), sc)
 	obj.init(q.Candidates[:1])
-	s := newExtState(tree, q, obj, &stats, nil)
+	s := newExtState(tree, q, obj, &stats, sc)
 
 	s.bestExist[0] = 5
 	s.pruneHeap.Push(0, 5)
@@ -125,7 +126,7 @@ func TestEqualGdTieBreakDeterministic(t *testing.T) {
 		Clients:    []Client{clientIn(v, 2, 0)},
 	}
 
-	first := Solve(tree, q)
+	first := mustExec(tree, q, Options{}).MinMax
 	if !first.Found {
 		t.Fatal("expected an improving candidate")
 	}
@@ -138,7 +139,7 @@ func TestEqualGdTieBreakDeterministic(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ {
-		r := Solve(tree, q)
+		r := mustExec(tree, q, Options{}).MinMax
 		if r.Answer != first.Answer || !almostEq(r.Objective, first.Objective) {
 			t.Fatalf("run %d: answer %d (obj %v), first run %d (obj %v)",
 				i, r.Answer, r.Objective, first.Answer, first.Objective)
@@ -151,12 +152,12 @@ func TestEqualGdTieBreakDeterministic(t *testing.T) {
 		Candidates: []indoor.PartitionID{q.Candidates[1], q.Candidates[0]},
 		Clients:    q.Clients,
 	}
-	revFirst := Solve(tree, rev)
+	revFirst := mustExec(tree, rev, Options{}).MinMax
 	if !revFirst.Found || !almostEq(revFirst.Objective, first.Objective) {
 		t.Fatalf("reversed list: %+v, want objective %v", revFirst, first.Objective)
 	}
 	for i := 0; i < 20; i++ {
-		r := Solve(tree, rev)
+		r := mustExec(tree, rev, Options{}).MinMax
 		if r.Answer != revFirst.Answer {
 			t.Fatalf("reversed run %d: answer %d, first %d", i, r.Answer, revFirst.Answer)
 		}

@@ -28,10 +28,10 @@ func TestRandomVenuesAllSolversAgree(t *testing.T) {
 				nRooms := len(v.Rooms())
 				q := randomQuery(v, rng, 1+rng.Intn(nRooms/3+1), 1+rng.Intn(nRooms/2+1), 1+rng.Intn(30))
 				want := SolveBrute(g, q)
-				checkAgainstBrute(t, q, Solve(tree, q), want)
-				checkAgainstBrute(t, q, SolveBaseline(tree, q), want)
-				checkExtAgainstBrute(t, "mindist", q, SolveMinDist(tree, q), SolveBruteMinDist(g, q))
-				checkExtAgainstBrute(t, "maxsum", q, SolveMaxSum(tree, q), SolveBruteMaxSum(g, q))
+				checkAgainstBrute(t, q, mustExec(tree, q, Options{}).MinMax, want)
+				checkAgainstBrute(t, q, mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax, want)
+				checkExtAgainstBrute(t, "mindist", q, mustExec(tree, q, Options{Objective: ObjMinDist}).Ext, SolveBruteMinDist(g, q))
+				checkExtAgainstBrute(t, "maxsum", q, mustExec(tree, q, Options{Objective: ObjMaxSum}).Ext, SolveBruteMaxSum(g, q))
 			}
 		})
 	}

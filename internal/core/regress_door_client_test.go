@@ -47,8 +47,8 @@ func TestClientAtCandidateDoorZeroDistance(t *testing.T) {
 	}
 
 	for name, res := range map[string]Result{
-		"Solve":         Solve(tree, q),
-		"SolveBaseline": SolveBaseline(tree, q),
+		"minmax":   mustExec(tree, q, Options{}).MinMax,
+		"baseline": mustExec(tree, q, Options{Objective: ObjBaseline}).MinMax,
 	} {
 		if !res.Found || res.Answer != p2 || res.Objective != 0 {
 			t.Errorf("%s: got %+v, want Found=true Answer=%d Objective=0", name, res, p2)
@@ -57,9 +57,9 @@ func TestClientAtCandidateDoorZeroDistance(t *testing.T) {
 
 	// The greedy multi chain starts from the same single-placement solve, so
 	// it must pick the candidate too.
-	multi := SolveGreedyMulti(tree, q, 3)
+	multi := mustExec(tree, q, Options{Objective: ObjMulti, K: 3}).Multi
 	if len(multi.Answers) != 1 || multi.Answers[0] != p2 || multi.Objective != 0 {
-		t.Errorf("SolveGreedyMulti: got %+v, want Answers=[%d] Objective=0", multi, p2)
+		t.Errorf("multi: got %+v, want Answers=[%d] Objective=0", multi, p2)
 	}
 
 	// Distance-layer sanity: both layers agree the client is at distance 0

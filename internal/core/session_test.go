@@ -21,8 +21,8 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	for round := 0; round < 20; round++ {
 		q := randomQuery(v, rng, 2, 5, 15+round)
-		warm := sess.Solve(q)
-		cold := Solve(tree, q)
+		warm := mustSessionExec(sess, q, Options{}).MinMax
+		cold := mustExec(tree, q, Options{}).MinMax
 		if warm.Found != cold.Found || warm.Answer != cold.Answer {
 			t.Fatalf("round %d: session %+v != one-shot %+v", round, warm, cold)
 		}
@@ -42,8 +42,8 @@ func TestSessionTopK(t *testing.T) {
 	sess := NewSession(tree)
 	rng := rand.New(rand.NewSource(9))
 	q := randomQuery(v, rng, 2, 6, 20)
-	a := sess.SolveTopK(q, 3)
-	b := SolveTopK(tree, q, 3)
+	a := mustSessionExec(sess, q, Options{Objective: ObjTopK, K: 3}).TopK
+	b := mustExec(tree, q, Options{Objective: ObjTopK, K: 3}).TopK
 	if len(a) != len(b) {
 		t.Fatalf("session top-k %v != one-shot %v", a, b)
 	}
@@ -52,7 +52,7 @@ func TestSessionTopK(t *testing.T) {
 			t.Fatalf("rank %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
-	if got := sess.SolveTopK(q, 0); got != nil {
+	if got := mustSessionExec(sess, q, Options{Objective: ObjTopK, K: 0}).TopK; got != nil {
 		t.Fatal("k=0 must return nil")
 	}
 }
@@ -68,7 +68,7 @@ func TestSessionCacheGrowth(t *testing.T) {
 		Candidates: []indoor.PartitionID{3},
 		Clients:    []Client{clientIn(v, 2, 0)},
 	}
-	sess.Solve(q)
+	mustSessionExec(sess, q, Options{})
 	if got := sess.CachedPartitions(); got != 1 {
 		t.Fatalf("CachedPartitions = %d, want 1", got)
 	}

@@ -34,7 +34,7 @@ func bruteRanking(g *d2d.Graph, q *Query, k int) []RankedCandidate {
 	return all
 }
 
-// TestTopKEdgeSemantics pins the edge behavior of SolveTopK: k = 0 yields
+// TestTopKEdgeSemantics pins the edge behavior of ObjTopK: k = 0 yields
 // nil even with live candidates, k > |Fn| returns every improving candidate
 // (no padding, no panic), and k = |Fn| is the full ranking.
 func TestTopKEdgeSemantics(t *testing.T) {
@@ -51,7 +51,7 @@ func TestTopKEdgeSemantics(t *testing.T) {
 		},
 	}
 
-	if got := SolveTopK(tree, q, 0); got != nil {
+	if got := mustExec(tree, q, Options{Objective: ObjTopK, K: 0}).TopK; got != nil {
 		t.Fatalf("k=0 with live candidates: got %v, want nil", got)
 	}
 
@@ -60,7 +60,7 @@ func TestTopKEdgeSemantics(t *testing.T) {
 		t.Fatal("test setup: no improving candidate")
 	}
 	for _, k := range []int{len(q.Candidates), len(q.Candidates) + 5, 1 << 16} {
-		got := SolveTopK(tree, q, k)
+		got := mustExec(tree, q, Options{Objective: ObjTopK, K: k}).TopK
 		if len(got) != len(full) {
 			t.Fatalf("k=%d: got %d results, want all %d improving candidates", k, len(got), len(full))
 		}
@@ -98,7 +98,7 @@ func TestTopKDuplicateObjectivesStablePrefix(t *testing.T) {
 	}
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 
-	full := SolveTopK(tree, q, len(q.Candidates))
+	full := mustExec(tree, q, Options{Objective: ObjTopK, K: len(q.Candidates)}).TopK
 	if len(full) < 2 {
 		t.Fatalf("want >=2 ranked candidates, got %v", full)
 	}
@@ -117,7 +117,7 @@ func TestTopKDuplicateObjectivesStablePrefix(t *testing.T) {
 		}
 	}
 	for k := 1; k < len(full); k++ {
-		prefix := SolveTopK(tree, q, k)
+		prefix := mustExec(tree, q, Options{Objective: ObjTopK, K: k}).TopK
 		if len(prefix) != k {
 			t.Fatalf("k=%d: got %d results", k, len(prefix))
 		}

@@ -137,9 +137,12 @@ func (e *Env) checkMinMax(q *core.Query, obj core.Objective) *Mismatch {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.MinMax, scratch.MinMax))
 	}
 	if obj == core.ObjMinMax {
-		sess := e.Session.Solve(q)
-		if !sameResult(fresh.MinMax, sess) {
-			return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.MinMax, sess))
+		sess, err := e.Session.Exec(context.Background(), q, core.Options{Objective: obj})
+		if err != nil {
+			return mm("session", err.Error())
+		}
+		if !sameResult(fresh.MinMax, sess.MinMax) {
+			return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.MinMax, sess.MinMax))
 		}
 	}
 	bobj := batch.MinMax
@@ -240,9 +243,12 @@ func (e *Env) checkMinDist(q *core.Query) *Mismatch {
 	if !sameExt(fresh.Ext, scratch.Ext) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.Ext, scratch.Ext))
 	}
-	sess := e.Session.SolveMinDist(q)
-	if !sameExt(fresh.Ext, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess))
+	sess, err := e.Session.Exec(context.Background(), q, core.Options{Objective: obj})
+	if err != nil {
+		return mm("session", err.Error())
+	}
+	if !sameExt(fresh.Ext, sess.Ext) {
+		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess.Ext))
 	}
 	br, err := e.runBatch(batch.Query{Objective: batch.MinDist, Query: q})
 	if err != nil {
@@ -299,9 +305,12 @@ func (e *Env) checkMaxSum(q *core.Query) *Mismatch {
 	if !sameExt(fresh.Ext, scratch.Ext) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.Ext, scratch.Ext))
 	}
-	sess := e.Session.SolveMaxSum(q)
-	if !sameExt(fresh.Ext, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess))
+	sess, err := e.Session.Exec(context.Background(), q, core.Options{Objective: obj})
+	if err != nil {
+		return mm("session", err.Error())
+	}
+	if !sameExt(fresh.Ext, sess.Ext) {
+		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Ext, sess.Ext))
 	}
 	br, err := e.runBatch(batch.Query{Objective: batch.MaxSum, Query: q})
 	if err != nil {
@@ -371,9 +380,12 @@ func (e *Env) checkTopK(q *core.Query, k int) *Mismatch {
 	if !sameRanking(fresh.TopK, scratch.TopK) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%v vs %v", fresh.TopK, scratch.TopK))
 	}
-	sess := e.Session.SolveTopK(q, k)
-	if !sameRanking(fresh.TopK, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%v vs %v", fresh.TopK, sess))
+	sess, err := e.Session.Exec(context.Background(), q, core.Options{Objective: obj, K: k})
+	if err != nil {
+		return mm("session", err.Error())
+	}
+	if !sameRanking(fresh.TopK, sess.TopK) {
+		return mm("fresh-vs-session", fmt.Sprintf("%v vs %v", fresh.TopK, sess.TopK))
 	}
 	br, err := e.runBatch(batch.Query{Objective: batch.TopK, K: k, Query: q})
 	if err != nil && k > 0 {
@@ -475,9 +487,12 @@ func (e *Env) checkMulti(q *core.Query, k int) *Mismatch {
 	if !sameMulti(fresh.Multi, scratch.Multi) {
 		return mm("fresh-vs-scratch", fmt.Sprintf("%+v vs %+v", fresh.Multi, scratch.Multi))
 	}
-	sess := e.Session.SolveMulti(q, k)
-	if !sameMulti(fresh.Multi, sess) {
-		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Multi, sess))
+	sess, err := e.Session.Exec(context.Background(), q, core.Options{Objective: obj, K: k})
+	if err != nil {
+		return mm("session", err.Error())
+	}
+	if !sameMulti(fresh.Multi, sess.Multi) {
+		return mm("fresh-vs-session", fmt.Sprintf("%+v vs %+v", fresh.Multi, sess.Multi))
 	}
 
 	// Oracle greedy reference with resync: each engine pick must be within

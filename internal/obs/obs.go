@@ -103,8 +103,8 @@ type Recorder interface {
 }
 
 // Nop is the no-op Recorder: attached but recording nothing. It exists so
-// the disabled-path guarantee is testable — Solve with a Nop recorder must
-// allocate exactly as much as Solve with no recorder at all.
+// the disabled-path guarantee is testable — a query run with a Nop recorder must
+// allocate exactly as much as one with no recorder at all.
 type Nop struct{}
 
 // Event discards the span.

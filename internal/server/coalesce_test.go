@@ -21,7 +21,7 @@ import (
 
 // TestCoalescedMatchesSession is the headline correctness property: K
 // concurrent identical queries — forced onto one shared flight — all
-// return results byte-identical to an uncoalesced Session.Solve, with
+// return results byte-identical to an uncoalesced Session.Exec, with
 // exactly one traversal executed and K-1 coalesce hits recorded. Run
 // under -race, this also proves the fan-out shares the result safely.
 func TestCoalescedMatchesSession(t *testing.T) {
@@ -58,7 +58,7 @@ func TestCoalescedMatchesSession(t *testing.T) {
 	wg.Wait()
 
 	tree := vip.MustBuild(v, vip.DefaultOptions())
-	want := core.NewSession(tree).Solve(toBatchQuery(c3Request()).Query)
+	want := sessionMinMax(t, core.NewSession(tree), toBatchQuery(c3Request()).Query)
 	leaders := 0
 	for i := 0; i < K; i++ {
 		if codes[i] != http.StatusOK {
@@ -116,7 +116,7 @@ func TestNearIdenticalDoNotCoalesce(t *testing.T) {
 			t.Fatalf("status = %d: %s", w.Code, w.Body.String())
 		}
 		resp := decodeResponse(t, w)
-		want := session.Solve(toBatchQuery(req).Query)
+		want := sessionMinMax(t, session, toBatchQuery(req).Query)
 		if !resp.Found || *resp.Answer != int32(want.Answer) ||
 			math.Float64bits(*resp.Value) != math.Float64bits(want.Objective) {
 			t.Errorf("req %+v: got (%v,%v), want (%v,%v)", req.Clients[1], *resp.Answer, *resp.Value, want.Answer, want.Objective)

@@ -82,9 +82,19 @@ func decodeError(t testing.TB, w *httptest.ResponseRecorder) ErrorResponse {
 	return resp
 }
 
+// sessionMinMax answers q's MinMax objective directly on a Session.
+func sessionMinMax(t *testing.T, s *core.Session, q *core.Query) core.Result {
+	t.Helper()
+	r, err := s.Exec(context.Background(), q, core.Options{})
+	if err != nil {
+		t.Fatalf("Session.Exec: %v", err)
+	}
+	return r.MinMax
+}
+
 // TestQueryMatchesSession pins the serving path to the library: the HTTP
 // answer must be byte-identical (answer ID, objective bits) to a direct
-// Session.Solve on the same query.
+// Session.Exec on the same query.
 func TestQueryMatchesSession(t *testing.T) {
 	s, v := newTestServer(t, Options{})
 	w := post(t, s.Handler(), c3Request())
@@ -96,7 +106,7 @@ func TestQueryMatchesSession(t *testing.T) {
 	tree := vip.MustBuild(v, vip.DefaultOptions())
 	req := c3Request()
 	q := toBatchQuery(req).Query
-	want := core.NewSession(tree).Solve(q)
+	want := sessionMinMax(t, core.NewSession(tree), q)
 	if !want.Found || !resp.Found {
 		t.Fatalf("found = %v/%v, want both true", want.Found, resp.Found)
 	}

@@ -1,7 +1,6 @@
 package ifls
 
 import (
-	"context"
 	"math"
 	"net/http"
 	"time"
@@ -38,14 +37,15 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 //	go http.ListenAndServe("localhost:6060", ifls.MetricsMux(m))
 func MetricsMux(m *Metrics) *http.ServeMux { return obs.NewMux(m) }
 
-// WithMetrics returns a shallow copy of the index whose Context solver
-// methods (SolveContext, SolveBaselineContext, SolveMinDistContext,
-// SolveMaxSumContext, SolveTopKContext) record per-query observations into
-// m: one span per instrumented stage (validate, locate, queue-pop, prune,
-// answer-check) and one aggregate observation per query. The receiver is
-// unchanged and both copies share the same underlying tree, so indexing
-// work is not repeated. Cancelled queries contribute error and latency
-// counts but no span events. A nil m returns an unobserved copy.
+// WithMetrics returns a shallow copy of the index whose solve methods —
+// every plain and Context method of the Index and of the Sessions it
+// creates — record exactly one observation per call into m, plus one span
+// per instrumented stage (validate, locate, queue-pop, prune, answer-check).
+// A multi-facility query reports Found when it selected any facility and
+// its final objective as FinalGd. The receiver is unchanged and both copies
+// share the same underlying tree, so indexing work is not repeated.
+// Rejected and cancelled queries contribute error and latency counts but no
+// solver span events. A nil m returns an unobserved copy.
 func (ix *Index) WithMetrics(m *Metrics) *Index {
 	cp := *ix
 	cp.metrics = m
@@ -55,109 +55,34 @@ func (ix *Index) WithMetrics(m *Metrics) *Index {
 // Metrics returns the aggregate attached by WithMetrics, or nil.
 func (ix *Index) Metrics() *Metrics { return ix.metrics }
 
-// observeValidate validates q under the metrics clock: a rejection is
-// observed as an errored query; success charges the validate stage.
-func (ix *Index) observeValidate(q *Query, start time.Time) error {
-	if err := ix.validated(q); err != nil {
-		ix.metrics.ObserveQuery(obs.QueryObservation{Elapsed: time.Since(start), Err: err})
-		return err
-	}
-	ix.metrics.Event(obs.Span{Stage: obs.StageValidate, Elapsed: time.Since(start)})
-	return nil
-}
-
-// finishObserved closes out one observed query: a successful query's
-// buffered spans are merged into the aggregate stage counters, a failed
-// (including cancelled) query's partial trace is discarded, and the
-// per-query observation is recorded either way.
-func (ix *Index) finishObserved(tr *obs.Trace, q *Query, start time.Time, st core.Stats, found bool, finalGd float64, err error) {
+// observe closes out one query on m: a successful query's buffered spans
+// are merged into the aggregate stage counters, a failed (rejected,
+// cancelled, or panicked) query's partial trace is discarded, and exactly
+// one per-query observation is recorded either way.
+func observe(m *Metrics, tr *obs.Trace, q *Query, start time.Time, obj core.Objective, r core.ExecResult, err error) {
+	o := obs.QueryObservation{Elapsed: time.Since(start), Err: err}
 	if err == nil {
 		var c obs.Counting
 		tr.FlushTo(&c)
-		ix.metrics.MergeStages(c.Counts)
-	}
-	o := obs.QueryObservation{Elapsed: time.Since(start), Err: err}
-	if err == nil {
+		m.MergeStages(c.Counts)
+		var st core.Stats
+		switch obj {
+		case core.ObjMinDist, core.ObjMaxSum:
+			st, o.Found, o.FinalGd = r.Ext.Stats, r.Ext.Improves, r.Ext.Objective
+		case core.ObjTopK:
+			o.Found, o.FinalGd = len(r.TopK) > 0, math.NaN()
+			if o.Found {
+				o.FinalGd = r.TopK[0].Objective
+			}
+		case core.ObjMulti:
+			st, o.Found, o.FinalGd = r.Multi.Stats, len(r.Multi.Answers) > 0, r.Multi.Objective
+		default:
+			st, o.Found, o.FinalGd = r.MinMax.Stats, r.MinMax.Found, r.MinMax.Objective
+		}
 		o.Clients = len(q.Clients)
 		o.Pruned = st.PrunedClients
 		o.DistanceCalcs = st.DistanceCalcs
 		o.QueuePops = st.QueuePops
-		o.Found = found
-		o.FinalGd = finalGd
 	}
-	ix.metrics.ObserveQuery(o)
-}
-
-func (ix *Index) solveContextObserved(ctx context.Context, q *Query) (r Result, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return notFound(), verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return notFound(), gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Found, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveBaselineContextObserved(ctx context.Context, q *Query) (r Result, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return notFound(), verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveBaselineObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return notFound(), gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Found, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveMinDistContextObserved(ctx context.Context, q *Query) (r ExtResult, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveMinDistObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Improves, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveMaxSumContextObserved(ctx context.Context, q *Query) (r ExtResult, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveMaxSumObserved(ctx, ix.tree, q, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return ExtResult{Answer: NoPartition, Objective: math.NaN()}, gerr
-	}
-	ix.finishObserved(&tr, q, start, r.Stats, r.Improves, r.Objective, err)
-	return r, err
-}
-
-func (ix *Index) solveTopKContextObserved(ctx context.Context, q *Query, k int) (r []RankedCandidate, err error) {
-	start := time.Now()
-	if verr := ix.observeValidate(q, start); verr != nil {
-		return nil, verr
-	}
-	var tr obs.Trace
-	if gerr := guard(func() { r, err = core.SolveTopKObserved(ctx, ix.tree, q, k, &tr) }); gerr != nil {
-		ix.finishObserved(&tr, q, start, core.Stats{}, false, 0, gerr)
-		return nil, gerr
-	}
-	finalGd := math.NaN()
-	if len(r) > 0 {
-		finalGd = r[0].Objective
-	}
-	ix.finishObserved(&tr, q, start, core.Stats{}, len(r) > 0, finalGd, err)
-	return r, err
+	m.ObserveQuery(o)
 }

@@ -114,6 +114,51 @@ func TestWithMetricsObservesQueries(t *testing.T) {
 	}
 }
 
+// TestWithMetricsCoversEverySolveMethod: every plain and Context solve
+// method of a WithMetrics index, and of a Session it creates, records
+// exactly one observation per call — a clean one for a valid query and an
+// errored one for a rejected query.
+func TestWithMetricsCoversEverySolveMethod(t *testing.T) {
+	ix, q, _ := observedFixture(t)
+	ctx := context.Background()
+	methods := map[string]func(ix *ifls.Index, q *ifls.Query){
+		"Solve":                func(ix *ifls.Index, q *ifls.Query) { ix.Solve(q) },
+		"SolveContext":         func(ix *ifls.Index, q *ifls.Query) { ix.SolveContext(ctx, q) },
+		"SolveBaseline":        func(ix *ifls.Index, q *ifls.Query) { ix.SolveBaseline(q) },
+		"SolveBaselineContext": func(ix *ifls.Index, q *ifls.Query) { ix.SolveBaselineContext(ctx, q) },
+		"SolveMinDist":         func(ix *ifls.Index, q *ifls.Query) { ix.SolveMinDist(q) },
+		"SolveMinDistContext":  func(ix *ifls.Index, q *ifls.Query) { ix.SolveMinDistContext(ctx, q) },
+		"SolveMaxSum":          func(ix *ifls.Index, q *ifls.Query) { ix.SolveMaxSum(q) },
+		"SolveMaxSumContext":   func(ix *ifls.Index, q *ifls.Query) { ix.SolveMaxSumContext(ctx, q) },
+		"SolveTopK":            func(ix *ifls.Index, q *ifls.Query) { ix.SolveTopK(q, 2) },
+		"SolveTopKContext":     func(ix *ifls.Index, q *ifls.Query) { ix.SolveTopKContext(ctx, q, 2) },
+		"SolveMulti":           func(ix *ifls.Index, q *ifls.Query) { ix.SolveMulti(q, 2) },
+		"SolveMultiContext":    func(ix *ifls.Index, q *ifls.Query) { ix.SolveMultiContext(ctx, q, 2) },
+
+		"Session.Solve":               func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().Solve(q) },
+		"Session.SolveContext":        func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveContext(ctx, q) },
+		"Session.SolveTopK":           func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveTopK(q, 2) },
+		"Session.SolveMinDist":        func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveMinDist(q) },
+		"Session.SolveMinDistContext": func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveMinDistContext(ctx, q) },
+		"Session.SolveMaxSum":         func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveMaxSum(q) },
+		"Session.SolveMaxSumContext":  func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveMaxSumContext(ctx, q) },
+		"Session.SolveMulti":          func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveMulti(q, 2) },
+		"Session.SolveMultiContext":   func(ix *ifls.Index, q *ifls.Query) { ix.NewSession().SolveMultiContext(ctx, q, 2) },
+	}
+	for name, call := range methods {
+		m := ifls.NewMetrics()
+		obsIx := ix.WithMetrics(m)
+		call(obsIx, q)
+		if s := m.Snapshot(); s.Queries != 1 || s.Errors != 0 || s.Found != 1 {
+			t.Errorf("%s valid query: Queries/Errors/Found = %d/%d/%d, want 1/0/1", name, s.Queries, s.Errors, s.Found)
+		}
+		call(obsIx, nil)
+		if s := m.Snapshot(); s.Queries != 2 || s.Errors != 1 {
+			t.Errorf("%s nil query: Queries/Errors = %d/%d, want 2/1", name, s.Queries, s.Errors)
+		}
+	}
+}
+
 func TestMetricsMuxServes(t *testing.T) {
 	ix, q, m := observedFixture(t)
 	obsIx := ix.WithMetrics(m)
