@@ -8,6 +8,7 @@
 //	iflsbench -fig 7a -scale 10        # client counts divided by 10
 //	iflsbench -fig 5 -queries 3 -venues MC,CPH
 //	iflsbench -fig parallel -workers 8 # sequential-vs-parallel speedups
+//	iflsbench -fig shape               # index shape and query cost per venue
 //	iflsbench -fig 5 -metrics localhost:6060
 //
 // -metrics ADDR serves live run metrics while the sweep executes: expvar
@@ -37,7 +38,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5, 6, 7a, 7b, 7c, counters, parallel, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 5, 6, 7a, 7b, 7c, counters, parallel, coldstart, rushhour, shape, or all")
 	scale := flag.Int("scale", 1, "divide all client counts by this factor")
 	queries := flag.Int("queries", bench.QueriesPerCell, "queries averaged per cell")
 	venuesFlag := flag.String("venues", "", "comma-separated venue subset (default all)")
@@ -82,7 +83,7 @@ func main() {
 	figs := bench.FigureOrder
 	if *fig != "all" {
 		if _, ok := bench.Figures[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "iflsbench: unknown figure %q (want 5, 6, 7a, 7b, 7c, counters, or all)\n", *fig)
+			fmt.Fprintf(os.Stderr, "iflsbench: unknown figure %q (want 5, 6, 7a, 7b, 7c, counters, parallel, coldstart, rushhour, shape, or all)\n", *fig)
 			os.Exit(1)
 		}
 		figs = []string{*fig}

@@ -170,8 +170,10 @@ func SampleVenueNames() []string { return append([]string(nil), venues.Names...)
 
 // IndexOptions configure index construction.
 type IndexOptions struct {
-	// LeafFanout is the maximum number of partitions per index leaf
-	// (default 8).
+	// LeafFanout is the maximum number of partitions per index leaf,
+	// not counting dead ends (default 8): a partition whose only
+	// neighbour has other neighbours, such as a one-door room off a
+	// hallway, always joins its neighbour's leaf on top of the fanout.
 	LeafFanout int
 	// NodeFanout is the maximum number of children per internal index
 	// node (default 4).

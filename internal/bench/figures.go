@@ -263,11 +263,13 @@ var Figures = map[string]func(io.Writer, *Runner, Config) ([]Measurement, error)
 	"parallel":  Parallel,
 	"coldstart": ColdStart,
 	"rushhour":  RushHour,
+	"shape":     Shape,
 }
 
 // FigureOrder lists figure identifiers in paper order. Figures 8a-8c share
 // the 7a-7c sweeps (memory columns); "counters" is this repository's
 // addition, reporting the work quantities the paper's argument is about.
-// "parallel" (sequential-vs-parallel speedups) is runnable on demand but
-// not part of the paper grid, so it is absent here.
+// "parallel" (sequential-vs-parallel speedups), "coldstart", "rushhour"
+// and "shape" (index shape per venue) are runnable on demand but not part
+// of the paper grid, so they are absent here.
 var FigureOrder = []string{"5", "6", "7a", "7b", "7c", "counters"}

@@ -140,16 +140,20 @@ func (r *Runner) Tree(name string) (*vip.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := r.Opts
-	if opts == (vip.Options{}) {
-		opts = vip.DefaultOptions()
-	}
-	t, err := vip.Build(v, opts)
+	t, err := vip.Build(v, r.options())
 	if err != nil {
 		return nil, err
 	}
 	r.trees[name] = t
 	return t, nil
+}
+
+// options resolves Opts, whose zero value means vip.DefaultOptions.
+func (r *Runner) options() vip.Options {
+	if r.Opts == (vip.Options{}) {
+		return vip.DefaultOptions()
+	}
+	return r.Opts
 }
 
 // Generator returns (building and caching) the workload generator of the

@@ -25,7 +25,7 @@ func TestPagedIndexParity(t *testing.T) {
 	var evictions int64
 	for seed := int64(1); seed <= 12; seed++ {
 		c := GenCase(seed)
-		env := NewEnv(c.Venue)
+		env := NewEnv(c.Venue, vip.DefaultOptions())
 
 		var buf bytes.Buffer
 		if err := env.Tree.SavePaged(&buf, vip.PagedSaveOptions{PageSize: pageSize}); err != nil {

@@ -36,9 +36,10 @@ type Env struct {
 	Scratch *core.Scratch
 }
 
-// NewEnv builds the answer-path machinery for one venue.
-func NewEnv(v *indoor.Venue) *Env {
-	t := vip.MustBuild(v, vip.DefaultOptions())
+// NewEnv builds the answer-path machinery for one venue, indexed with the
+// given tree options.
+func NewEnv(v *indoor.Venue, opts vip.Options) *Env {
+	t := vip.MustBuild(v, opts)
 	return &Env{
 		Venue:   v,
 		Tree:    t,
@@ -49,10 +50,11 @@ func NewEnv(v *indoor.Venue) *Env {
 }
 
 // CheckCase runs one Case through every answer path and reports the first
-// disagreement, or nil when all paths agree. It builds a fresh Env; use an
-// Env's Check method to amortize index construction across workloads.
+// disagreement, or nil when all paths agree. It builds a fresh Env at
+// vip.DefaultOptions; use an Env's Check method to pick the tree shape or
+// to amortize index construction across workloads.
 func CheckCase(c Case) *Mismatch {
-	return NewEnv(c.Venue).Check(c.Query, c.Obj, c.K)
+	return NewEnv(c.Venue, vip.DefaultOptions()).Check(c.Query, c.Obj, c.K)
 }
 
 // Check answers q under obj through all paths and cross-compares. K is the

@@ -136,6 +136,18 @@ func TestLoadDeepValidation(t *testing.T) {
 		},
 		"ancestor matrix mismatch": func(g *treeGob) { firstLeaf(g).Anc = firstLeaf(g).Anc[:0] },
 		"no nodes":                 func(g *treeGob) { g.Nodes = nil },
+		// The fixture venue has no dead ends, so every partition of a
+		// leaf counts against LeafFanout: lowering it under the fullest
+		// leaf makes that leaf hold LeafFanout+1 such partitions.
+		"overfull leaf": func(g *treeGob) {
+			fullest := 0
+			for _, nd := range g.Nodes {
+				if nd.Leaf && len(nd.Parts) > fullest {
+					fullest = len(nd.Parts)
+				}
+			}
+			g.Opts.LeafFanout = fullest - 1
+		},
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {

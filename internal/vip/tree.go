@@ -23,8 +23,10 @@ const NoNode NodeID = -1
 // Options configure tree construction. Options is a plain value; it is
 // read only during Build and never mutated by the tree afterwards.
 type Options struct {
-	// LeafFanout is the maximum number of partitions per leaf node.
-	// Zero means the default of 8.
+	// LeafFanout is the maximum number of partitions per leaf node, not
+	// counting dead-end partitions: a partition whose only neighbour is
+	// one partition with other neighbours always joins that neighbour's
+	// leaf, on top of the fanout. Zero means the default of 8.
 	LeafFanout int
 	// NodeFanout is the maximum number of children per internal node.
 	// Zero means the default of 4.
@@ -271,7 +273,8 @@ func (t *Tree) childOnPath(a NodeID, l NodeID) NodeID {
 }
 
 // buildStructure clusters partitions into leaves and leaves into the node
-// hierarchy by greedy adjacency-respecting BFS merging. It returns an error
+// hierarchy by greedy adjacency-respecting BFS merging; dead-end
+// partitions then join their neighbour's leaf. It returns an error
 // wrapping faults.ErrMalformedVenue when merging stalls, which only happens
 // on venues whose partition adjacency violates the builder's invariants.
 func (t *Tree) buildStructure() error {
@@ -291,7 +294,17 @@ func (t *Tree) buildStructure() error {
 		return len(v.Partition(order[i]).Doors) > len(v.Partition(order[j]).Doors)
 	})
 
+	// Dead-end partitions (see deadEndHosts) take no part in seeding or
+	// the BFS: marking them assigned up front keeps them out of both, so
+	// LeafFanout bounds only a leaf's other partitions. Each one joins its
+	// neighbour's leaf after grouping, which puts all of its doors inside
+	// that leaf: a room off a hallway never becomes a singleton leaf
+	// whose door is an access door at every level above it.
+	hosts := deadEndHosts(v)
 	assigned := make([]bool, n)
+	for p, h := range hosts {
+		assigned[p] = h != indoor.NoPartition
+	}
 	for _, seed := range order {
 		if assigned[seed] {
 			continue
@@ -320,6 +333,13 @@ func (t *Tree) buildStructure() error {
 		}
 		t.nodes = append(t.nodes, nd)
 	}
+	for p, h := range hosts {
+		if h != indoor.NoPartition {
+			nd := t.nodes[t.leafOf[h]]
+			nd.parts = append(nd.parts, indoor.PartitionID(p))
+			t.leafOf[p] = nd.id
+		}
+	}
 
 	// Merge nodes level by level until one remains.
 	current := make([]NodeID, len(t.nodes))
@@ -345,6 +365,28 @@ func (t *Tree) buildStructure() error {
 	}
 	setDepth(t.root, 0)
 	return nil
+}
+
+// deadEndHosts returns, for every partition of v, the neighbour it hangs
+// off when it is a dead end, and indoor.NoPartition otherwise. A dead-end
+// partition has exactly one adjacent partition, and that neighbour has more
+// than one — a room whose only way out is its hallway, however many doors
+// it has onto it. The neighbour of a dead end is never a dead end itself,
+// so the rule needs one pass. Exterior doors do not count: they join no
+// partition.
+func deadEndHosts(v *indoor.Venue) []indoor.PartitionID {
+	adj := make([][]indoor.PartitionID, v.NumPartitions())
+	for p := range adj {
+		adj[p] = v.AdjacentPartitions(indoor.PartitionID(p))
+	}
+	hosts := make([]indoor.PartitionID, len(adj))
+	for p, nb := range adj {
+		hosts[p] = indoor.NoPartition
+		if len(nb) == 1 && len(adj[nb[0]]) > 1 {
+			hosts[p] = nb[0]
+		}
+	}
+	return hosts
 }
 
 // mergeLevel groups the given sibling candidates into parents by adjacency.
@@ -698,6 +740,7 @@ func (t *Tree) MemoryFootprint() int {
 // concurrent use (read-only).
 func (t *Tree) CheckInvariants() error {
 	seenPart := make([]bool, t.venue.NumPartitions())
+	hosts := deadEndHosts(t.venue)
 	for id, nd := range t.nodes {
 		if NodeID(id) != nd.id {
 			return fmt.Errorf("node %d has id %d", id, nd.id)
@@ -706,8 +749,14 @@ func (t *Tree) CheckInvariants() error {
 			if len(nd.parts) == 0 {
 				return fmt.Errorf("leaf %d empty", id)
 			}
-			if len(nd.parts) > t.opts.LeafFanout {
-				return fmt.Errorf("leaf %d overfull: %d partitions", id, len(nd.parts))
+			others := 0
+			for _, p := range nd.parts {
+				if hosts[p] == indoor.NoPartition {
+					others++
+				}
+			}
+			if others > t.opts.LeafFanout {
+				return fmt.Errorf("leaf %d overfull: %d non-dead-end partitions", id, others)
 			}
 			for _, p := range nd.parts {
 				if seenPart[p] {
