@@ -7,16 +7,28 @@
 //
 // # Incremental model
 //
-// The engine caches, per client, a distance row: the distance to its
-// nearest existing facility and to every candidate, computed with the same
-// vip.Explorer primitives the batch solver uses. Between ticks only
-// clients whose position changed (walkers mid-trip) recompute their rows;
-// dwelling walkers reuse theirs. The per-tick combine over cached rows is
-// a dense O(|C|·|Fn|) min/max scan that reproduces the solver's exact
-// semantics — Found iff the best candidate strictly improves on the status
-// quo, ties broken to the lowest candidate partition ID — so the
-// maintained answer is identical to a fresh core.Exec over the same
-// snapshot (pinned by the package's differential tests).
+// The engine caches, per client, a distance row: the distance nn to its
+// nearest existing facility and, per candidate, the clipped distance
+// min(nn, d(client, candidate)), computed from the same vip.Explorer
+// primitives the batch solver uses. Clipping is the paper's Lemma 5.1
+// client pruning: a candidate only matters to a client where it is closer
+// than the client's nearest existing facility. Between ticks only clients
+// whose position changed (walkers mid-trip) recompute their rows; dwelling
+// walkers reuse theirs.
+//
+// A row resolve computes nn first and then relaxes the candidates only
+// through doors whose in-partition offset is below nn. Both steps skip a
+// door whose offset has reached the bound: every door-to-facility distance
+// is >= 0 and rounded addition is monotone, so a sum through such a door
+// is >= nn and can change neither nn nor a clipped entry. The rows are
+// therefore bit-identical to min(nn, d) over an unbounded resolve.
+//
+// The per-tick combine scans the clipped rows row-major into a
+// per-candidate maximum and reproduces the solver's exact semantics —
+// Found iff the best candidate strictly improves on the status quo, ties
+// broken to the lowest candidate partition ID — so the maintained answer
+// is identical to a fresh core.Exec over the same snapshot (pinned by the
+// package's differential tests).
 //
 // # Topology eras
 //
@@ -44,6 +56,7 @@ package continuous
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/indoorspatial/ifls/internal/core"
@@ -126,7 +139,7 @@ type row struct {
 	// nn is the distance to the nearest existing facility (+Inf when the
 	// query has none).
 	nn float64
-	// cand holds the distance to each candidate, indexed like
+	// cand holds min(nn, distance) to each candidate, indexed like
 	// Config.Candidates.
 	cand []float64
 }
@@ -168,6 +181,7 @@ type era struct {
 	venue   *indoor.Venue
 	tree    *vip.Tree
 	doorMap temporal.DoorMap // base door → era door
+	rev     []indoor.DoorID  // era door → base door
 	mask    []bool           // base-venue per-door open flags
 	facs    []indoor.PartitionID
 
@@ -202,9 +216,8 @@ func (er *era) signature(p indoor.PartitionID) *partSig {
 	// different eras are comparable. The era venue's doors are the base
 	// venue's open doors in base order, so equal base-ID lists imply the
 	// same door locations in the same row order.
-	rev := er.reverseDoor()
 	for i, d := range doors {
-		sig.doors[i] = rev[d]
+		sig.doors[i] = er.rev[d]
 	}
 	if cap(er.offScratch) < len(doors) {
 		er.offScratch = make([]float64, len(doors))
@@ -233,17 +246,6 @@ func (er *era) signature(p indoor.PartitionID) *partSig {
 	return sig
 }
 
-// reverseDoor returns the era→base door translation.
-func (er *era) reverseDoor() []indoor.DoorID {
-	rev := make([]indoor.DoorID, er.venue.NumDoors())
-	for base, ed := range er.doorMap {
-		if ed != indoor.NoDoor {
-			rev[ed] = indoor.DoorID(base)
-		}
-	}
-	return rev
-}
-
 // Engine maintains a standing IFLS answer. Single-goroutine; see the
 // package documentation.
 type Engine struct {
@@ -263,6 +265,11 @@ type Engine struct {
 
 	last    core.Result
 	offsets []float64 // scratch for PointOffsetsAppend
+	obj     []float64 // combine's per-candidate objective, indexed like candidates
+
+	// sums counts the (door, facility) additions resolve evaluates, the
+	// machine-independent work a tick's row resolve does.
+	sums int64
 
 	subs   map[int]func(Event)
 	nextID int
@@ -309,6 +316,7 @@ func New(cfg Config) (*Engine, error) {
 		treeOpts:   opts,
 		m:          cfg.Metrics,
 		clock:      cfg.ClockStart,
+		obj:        make([]float64, len(cfg.Candidates)),
 		subs:       make(map[int]func(Event)),
 	}
 	n := e.baseVenue.NumPartitions()
@@ -342,33 +350,37 @@ func (e *Engine) facs() []indoor.PartitionID {
 // timetable, or when every door is open, the base venue and tree are
 // reused; otherwise the timetable snapshot is indexed with a fresh tree.
 func (e *Engine) buildEra(t time.Duration) (*era, error) {
+	n := e.baseVenue.NumDoors()
 	er := &era{
+		venue:     e.baseVenue,
+		tree:      e.baseTree,
+		mask:      allOpen(n),
 		facs:      e.facs(),
 		explorers: make(map[indoor.PartitionID]*vip.Explorer),
 		sigs:      make(map[indoor.PartitionID]*partSig),
 	}
-	if e.tt == nil {
-		er.venue, er.tree = e.baseVenue, e.baseTree
-		er.doorMap = identityDoorMap(e.baseVenue.NumDoors())
-		er.mask = allOpen(e.baseVenue.NumDoors())
-		return er, nil
+	if e.tt != nil {
+		er.mask = e.tt.Mask(t)
 	}
-	mask := e.tt.Mask(t)
-	er.mask = mask
-	if allTrue(mask) {
-		er.venue, er.tree = e.baseVenue, e.baseTree
-		er.doorMap = identityDoorMap(e.baseVenue.NumDoors())
-		return er, nil
+	if allTrue(er.mask) {
+		er.doorMap = identityDoorMap(n)
+	} else {
+		venue, doorMap, err := e.tt.Snapshot(t)
+		if err != nil {
+			return nil, fmt.Errorf("continuous: materializing era at %v: %w", t, err)
+		}
+		tree, err := vip.Build(venue, e.treeOpts)
+		if err != nil {
+			return nil, fmt.Errorf("continuous: indexing era at %v: %w", t, err)
+		}
+		er.venue, er.tree, er.doorMap = venue, tree, doorMap
 	}
-	venue, doorMap, err := e.tt.Snapshot(t)
-	if err != nil {
-		return nil, fmt.Errorf("continuous: materializing era at %v: %w", t, err)
+	er.rev = make([]indoor.DoorID, er.venue.NumDoors())
+	for base, ed := range er.doorMap {
+		if ed != indoor.NoDoor {
+			er.rev[ed] = indoor.DoorID(base)
+		}
 	}
-	tree, err := vip.Build(venue, e.treeOpts)
-	if err != nil {
-		return nil, fmt.Errorf("continuous: indexing era at %v: %w", t, err)
-	}
-	er.venue, er.tree, er.doorMap = venue, tree, doorMap
 	return er, nil
 }
 
@@ -417,6 +429,12 @@ func maskEqual(a, b []bool) bool {
 // client instead of a tree walk per (client, facility); the matrix is paid
 // for once per (era, occupied partition) and is the same one transition()
 // compares across eras.
+//
+// nn comes first, over the existing-facility columns, and then bounds the
+// candidate pass: each cand[k] starts at nn and relaxes only through doors
+// whose offset is below nn, so the row stores min(nn, d(x, n_k)). A door
+// with offset_j >= nn is skipped in both passes; D is >= 0, so every sum
+// through it is >= nn and could lower neither nn nor a clipped entry.
 func (e *Engine) resolve(r *row, c core.Client) {
 	ex := e.era.explorer(c.Part)
 	e.offsets = ex.PointOffsetsAppend(e.offsets[:0], c.Loc)
@@ -426,37 +444,45 @@ func (e *Engine) resolve(r *row, c core.Client) {
 	if r.cand == nil {
 		r.cand = make([]float64, len(e.candidates))
 	}
-	r.nn = math.Inf(1)
+	// A facility in the client's own partition is at distance 0
+	// (PointToPartition's source special case); the signature stores zero
+	// rows for it, which the loops below would inflate by the door offset.
+	nn := math.Inf(1)
+	if slices.Contains(e.existing, c.Part) {
+		nn = 0
+	} else {
+		for j, oj := range e.offsets {
+			if oj >= nn {
+				continue
+			}
+			for _, v := range sig.dist[j*nf : j*nf+ne] {
+				if d := oj + v; d < nn {
+					nn = d
+				}
+			}
+			e.sums += int64(ne)
+		}
+	}
 	for k := range r.cand {
-		r.cand[k] = math.Inf(1)
+		r.cand[k] = nn
 	}
 	for j, oj := range e.offsets {
-		rowj := sig.dist[j*nf : (j+1)*nf]
-		for i := 0; i < ne; i++ {
-			if d := oj + rowj[i]; d < r.nn {
-				r.nn = d
-			}
+		if oj >= nn {
+			continue
 		}
-		for k, v := range rowj[ne:] {
+		for k, v := range sig.dist[j*nf+ne : (j+1)*nf] {
 			if d := oj + v; d < r.cand[k] {
 				r.cand[k] = d
 			}
 		}
-	}
-	// A facility in the client's own partition is at distance 0
-	// (PointToPartition's source special case); the signature stores zero
-	// rows for it, which the loop above would inflate by the door offset.
-	for _, f := range e.existing {
-		if f == c.Part {
-			r.nn = 0
-			break
-		}
+		e.sums += int64(nf - ne)
 	}
 	for k, f := range e.candidates {
 		if f == c.Part {
 			r.cand[k] = 0
 		}
 	}
+	r.nn = nn
 	r.loc, r.part = c.Loc, c.Part
 	r.valid = true
 }
@@ -464,35 +490,34 @@ func (e *Engine) resolve(r *row, c core.Client) {
 // combine folds the cached rows into the exact MinMax result, reproducing
 // the batch solver's semantics: the status quo is the maximum
 // nearest-existing distance; a candidate's objective is the maximum over
-// clients of min(nearest-existing, candidate distance); the answer is the
-// lowest-objective candidate, ties broken to the lowest candidate
-// partition ID; Found requires a strict improvement over the status quo.
+// clients of min(nearest-existing, candidate distance) — the clipped row
+// entry; the answer is the lowest-objective candidate, ties broken to the
+// lowest candidate partition ID; Found requires a strict improvement over
+// the status quo. The rows are scanned in order, each into the
+// per-candidate maxima.
 func (e *Engine) combine() core.Result {
 	if len(e.rows) == 0 {
 		return core.Result{Found: false, Answer: indoor.NoPartition, Objective: math.NaN()}
 	}
 	statusQuo := 0.0
+	obj := e.obj
+	clear(obj)
 	for i := range e.rows {
-		if e.rows[i].nn > statusQuo {
-			statusQuo = e.rows[i].nn
+		r := &e.rows[i]
+		if r.nn > statusQuo {
+			statusQuo = r.nn
+		}
+		for k, d := range r.cand {
+			if d > obj[k] {
+				obj[k] = d
+			}
 		}
 	}
 	best := indoor.NoPartition
 	bestObj := math.Inf(1)
 	for k, f := range e.candidates {
-		obj := 0.0
-		for i := range e.rows {
-			r := &e.rows[i]
-			d := r.cand[k]
-			if r.nn < d {
-				d = r.nn
-			}
-			if d > obj {
-				obj = d
-			}
-		}
-		if obj < bestObj || (obj == bestObj && f < best) {
-			bestObj, best = obj, f
+		if obj[k] < bestObj || (obj[k] == bestObj && f < best) {
+			bestObj, best = obj[k], f
 		}
 	}
 	if best == indoor.NoPartition || bestObj >= statusQuo {

@@ -12,8 +12,10 @@
 // construction time — parallel Build in internal/vip runs many concurrent
 // FromDoor Dijkstras against one shared Graph.
 //
-// Concurrency: a *Graph is immutable after New and safe for unlimited
-// concurrent use. Every method allocates its own working state (distance
-// arrays, priority queue) per call, so any mix of FromDoor / Path /
-// PointToPoint calls may run in parallel.
+// Concurrency: a *Graph is immutable after New (apart from an atomic work
+// counter) and safe for unlimited concurrent use. Every method owns its
+// working state (distance arrays, priority queue) for the length of the
+// call: FromDoor, Path and the point distances allocate it, since their
+// results escape; PointRoute borrows it from a package sync.Pool and hands
+// it back before returning. Any mix of calls may run in parallel.
 package d2d
